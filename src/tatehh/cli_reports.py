@@ -34,8 +34,9 @@ from .hochschild_bar import BarWindowRequest, BudgetExceeded, DEFAULT_BUDGET, \
     hh_cohomology_dims, hh_homology_dims
 from .near_zero import check_exactness_claim, tate_hh0
 from .qci_algebra import QciAlgebra, codim2_algebra, dual_bimodule, \
-    exterior_algebra, truncated_polynomial_algebra, twisted_bimodule
-from .tate_engine import TableEntry, TateRequest, coefficient_name, tate_dims
+    exterior_algebra, truncated_polynomial_algebra
+from .tate_engine import TableEntry, TateRequest, coefficient_name, \
+    nakayama_module, tate_dims
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -186,10 +187,8 @@ def _cmd_dims(args):
 def _cmd_oracle(args):
     algebra = _load_spec(args.spec)
     k = _parse_coeff(args.coeff)
-    B = twisted_bimodule(algebra, algebra.nakayama(k),
-                         algebra.identity_twist(),
-                         label=coefficient_name(k))
-    req = BarWindowRequest(B, args.max, args.variant, args.budget)
+    req = BarWindowRequest(nakayama_module(algebra, k), args.max,
+                           args.variant, args.budget)
     if args.variant == "homology":
         dims = hh_homology_dims(req)
     else:
@@ -239,13 +238,8 @@ def _guarded(checks, label, fn):
         checks.append({"check": label, "error": str(exc), "pass": False})
 
 
-def _nu_module(A, k):
-    return twisted_bimodule(A, A.nakayama(k), A.identity_twist(),
-                            label=coefficient_name(k))
-
-
 def _bar_dims(A, k, direction, n_max, budget):
-    req = BarWindowRequest(_nu_module(A, k), n_max, direction, budget)
+    req = BarWindowRequest(nakayama_module(A, k), n_max, direction, budget)
     if direction == "homology":
         return hh_homology_dims(req)
     return hh_cohomology_dims(req)
@@ -382,7 +376,7 @@ def _suite_duality(max_degree, budget):
         for k in (0, 1, -1):
 
             def unit(A=A, k=k, label=label):
-                B = _nu_module(A, k)
+                B = nakayama_module(A, k)
                 co = hh_cohomology_dims(
                     BarWindowRequest(B, upto, "cohomology", budget))
                 ho = hh_homology_dims(

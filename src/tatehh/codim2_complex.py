@@ -113,10 +113,6 @@ class KScalarTable:
             field.one)
 
 
-def k_scalar(table, m, t, i, u, v):
-    return table.k_scalar(m, t, i, u, v)
-
-
 class DeltaComplex:
     """The complex (+)_i A e^n_i for degrees 0..max_degree."""
 

@@ -185,13 +185,3 @@ def scalar_pow(field, x, n):
 
 def is_root_of_unity(field, x):
     return field.is_root_of_unity(x)
-
-
-def assert_not_root_of_unity(field, x):
-    """True iff x is a unit of infinite multiplicative order.
-
-    Over the rationals that means x outside {1, -1}; over a prime field every
-    unit has finite order, so this is always False there.  Zero is a domain
-    error.
-    """
-    return not field.is_root_of_unity(x)

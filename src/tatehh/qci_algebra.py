@@ -70,10 +70,6 @@ def mat_transpose(dim_rows, cols):
     return out
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def mat_is_zero(cols):
     return all(not col for col in cols)
 
@@ -370,18 +366,18 @@ class Bimodule:
                     lhs = mat_mul(field, self.left[i], self.left[j])
                     rhs = mat_scale(field, A.q[i][j],
                                     mat_mul(field, self.left[j], self.left[i]))
-                    if not mat_eq(lhs, rhs):
+                    if lhs != rhs:
                         raise ValueError(f"left actions {i},{j} violate the "
                                          "commutation relation")
                     lhs = mat_mul(field, self.right[j], self.right[i])
                     rhs = mat_scale(field, A.q[i][j],
                                     mat_mul(field, self.right[i], self.right[j]))
-                    if not mat_eq(lhs, rhs):
+                    if lhs != rhs:
                         raise ValueError(f"right actions {i},{j} violate the "
                                          "commutation relation")
                 lhs = mat_mul(field, self.left[i], self.right[j])
                 rhs = mat_mul(field, self.right[j], self.left[i])
-                if not mat_eq(lhs, rhs):
+                if lhs != rhs:
                     raise ValueError(f"left action {i} and right action {j} "
                                      "do not commute")
 
@@ -440,8 +436,8 @@ class Bimodule:
 
     def equal_actions(self, other):
         return (self.dim == other.dim
-                and all(mat_eq(a, b) for a, b in zip(self.left, other.left))
-                and all(mat_eq(a, b) for a, b in zip(self.right, other.right)))
+                and all(a == b for a, b in zip(self.left, other.left))
+                and all(a == b for a, b in zip(self.right, other.right)))
 
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""

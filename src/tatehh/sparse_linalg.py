@@ -180,15 +180,18 @@ class SparseMatrix:
         return _component_rank(field, self.entries())
 
     def _modular_entries(self):
-        """Entries reduced mod the pre-pass prime, or None if a denominator
-        vanishes there (exact elimination then decides alone)."""
+        """Nonzero entries reduced mod the pre-pass prime, or None if a
+        denominator vanishes there (exact elimination then decides alone).
+        Dropping zero residues leaves the same matrix mod p, whose rank is
+        still a lower bound on the rational rank."""
         p = _PREPASS_PRIME
         out = []
         for i, j, v in self.entries():
             if v.denominator % p == 0:
                 return None
             r = (v.numerator % p) * pow(v.denominator % p, -1, p) % p
-            out.append((i, j, r))
+            if r:
+                out.append((i, j, r))
         return out
 
     def kernel_dim(self):

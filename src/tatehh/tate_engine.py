@@ -19,8 +19,10 @@ Degrees with no direct terminal reduce through exactly one duality hop and
 never two: negative homology of the k-th twist equals degree -n-1 homology
 of the (-k)-th twist, negative cohomology of the k-th twist equals degree
 -n-1 homology of the (k-1)-st twist, and degree-0 cohomology passes to
-degree-0 homology of the linear-dual bimodule, which must first be
-recognised (by solving for an invertible intertwiner) as a diagonal twist.
+degree-0 homology of the linear dual M, recognised as the twist of A by
+sigma = nu^j (expected j = 1-k).  Maps from that twist to M are a -> z.a
+for z in Z_sigma(M) = {z : x_w z = sigma_w z x_w}, a c*dim x dim kernel;
+A is local Frobenius, so one is bijective iff dim M = dim A, z.x^top != 0.
 Every duality-derived entry records its source degree, coefficient, and the
 terminal that produced the number.  Degrees that no permitted route can
 serve are marked unavailable with a reason instead of being guessed.
@@ -33,7 +35,7 @@ from .closed_forms import ci_dim, codim2_cohomology_dim, codim2_homology_dim, \
 from .codim2_complex import DeltaComplex
 from .hochschild_bar import DEFAULT_BUDGET, CohomologyWindow, homology_window
 from .near_zero import tate_hh0
-from .qci_algebra import dual_bimodule, twisted_bimodule
+from .qci_algebra import dual_bimodule, mat_apply, twisted_bimodule
 from .sparse_linalg import SparseMatrix
 
 _POLICIES = {
@@ -153,93 +155,53 @@ def _formula_dim(A, variant, n, k):
     return None
 
 
-def _intertwiner_candidates(field, M, N):
-    """Basis of the space of maps commuting with both actions, as matrices."""
-    dim = M.dim
-    rows = 2 * len(M.left) * dim * dim
-    entries = {}
-
-    def stack(eq_base, act_m, act_n):
-        # (Phi . act_m - act_n . Phi) = 0, unknown Phi indexed r * dim + s
-        for t in range(dim):
-            for s, val in act_m[t].items():
-                for r in range(dim):
-                    key = (eq_base + r * dim + t, r * dim + s)
-                    cur = field.add(entries.get(key, field.zero), val)
-                    if cur == field.zero:
-                        entries.pop(key, None)
-                    else:
-                        entries[key] = cur
-        for s in range(dim):
-            for r, val in act_n[s].items():
-                for t in range(dim):
-                    key = (eq_base + r * dim + t, s * dim + t)
-                    cur = field.sub(entries.get(key, field.zero), val)
-                    if cur == field.zero:
-                        entries.pop(key, None)
-                    else:
-                        entries[key] = cur
-
-    block = dim * dim
-    for w in range(len(M.left)):
-        stack((2 * w) * block, M.left[w], N.left[w])
-        stack((2 * w + 1) * block, M.right[w], N.right[w])
-    system = SparseMatrix.from_dict(field, rows, dim * dim, entries)
-    mats = []
-    for vec in system.kernel_basis():
-        cols = {}
-        for flat, val in vec.items():
-            cols.setdefault(flat % dim, {})[flat // dim] = val
-        mats.append(cols)
-    return mats
+def nakayama_module(A, k):
+    """The k-th Nakayama twist of A as a bimodule, left action twisted."""
+    return twisted_bimodule(A, A.nakayama(k), A.identity_twist(),
+                            label=coefficient_name(k))
 
 
-def bimodules_isomorphic(M, N):
-    """Whether an invertible map commutes with both generator actions."""
-    if M.algebra is not N.algebra and M.algebra.describe() != N.algebra.describe():
-        return False
+def twisted_centre(M, sigma):
+    """Basis of Z_sigma(M) = {z in M : x_w z = sigma_w z x_w for every w}."""
     field = M.field
     dim = M.dim
-    basis = _intertwiner_candidates(field, M, N)
+    entries = {}
+    for w, (left, right) in enumerate(zip(M.left, M.right)):
+        for col in range(dim):
+            for row, v in left[col].items():
+                entries[(w * dim + row, col)] = v
+            for row, v in right[col].items():
+                key = (w * dim + row, col)
+                entries[key] = field.sub(entries.get(key, field.zero),
+                                         field.mul(sigma[w], v))
+    return SparseMatrix.from_dict(field, len(M.left) * dim, dim,
+                                  entries).kernel_basis()
 
-    def invertible(cols):
-        entries = {(r, c): v for c, col in cols.items() for r, v in col.items()}
-        mat = SparseMatrix.from_dict(field, dim, dim, entries)
-        return mat.rank() == dim
 
-    combos = list(basis)
-    if len(basis) > 1:
-        for weights in (lambda i: 1, lambda i: i + 1):
-            cols = {}
-            for i, mat in enumerate(basis):
-                w = field.of_int(weights(i))
-                for c, col in mat.items():
-                    dst = cols.setdefault(c, {})
-                    for r, v in col.items():
-                        cur = field.add(dst.get(r, field.zero), field.mul(w, v))
-                        if cur == field.zero:
-                            dst.pop(r, None)
-                        else:
-                            dst[r] = cur
-            combos.append(cols)
-    return any(invertible(c) for c in combos)
+def bimodules_isomorphic(M, sigma):
+    """Whether M is isomorphic to its algebra A, left action twisted by sigma.
+
+    Bimodule maps from the twist to M are a -> z.a with z in Z_sigma(M).
+    A QCI is local Frobenius with socle k.x^top, so a -> z.a is injective
+    iff z.x^top != 0; that holds for some z iff for some basis vector z.
+    """
+    A = M.algebra
+    if M.dim != A.dim:
+        return False
+    top = M.right_monomial(A.top_index)
+    return any(mat_apply(M.field, top, z) for z in twisted_centre(M, sigma))
 
 
 def recognize_nakayama_power(A, M, expected_first=0, span=3):
     """The k with M isomorphic to the k-th Nakayama twist, else None."""
+    if M.algebra is not A and M.algebra.describe() != A.describe():
+        return None
     candidates = [expected_first]
     candidates.extend(j for j in range(-span, span + 1) if j != expected_first)
     for j in candidates:
-        N = twisted_bimodule(A, A.nakayama(j), A.identity_twist(),
-                             label=coefficient_name(j))
-        if bimodules_isomorphic(M, N):
+        if bimodules_isomorphic(M, A.nakayama(j)):
             return j
     return None
-
-
-def _nakayama_module(A, k):
-    return twisted_bimodule(A, A.nakayama(k), A.identity_twist(),
-                            label=coefficient_name(k))
 
 
 class _Session:
@@ -318,7 +280,7 @@ class _Session:
         if self._delta_top:
             self._delta = DeltaComplex(self.A, self._delta_top)
         for (variant, j), top in sorted(self._bar_tops.items()):
-            B = _nakayama_module(self.A, j)
+            B = nakayama_module(self.A, j)
             if variant == "homology":
                 self._bar_windows[(variant, j)] = \
                     homology_window(B, top, self.req.budget)
@@ -345,7 +307,7 @@ class _Session:
 
     def _recognize_dual(self, k):
         if k not in self._recognized:
-            dual = dual_bimodule(_nakayama_module(self.A, k))
+            dual = dual_bimodule(nakayama_module(self.A, k))
             self._recognized[k] = \
                 recognize_nakayama_power(self.A, dual, expected_first=1 - k)
         return self._recognized[k]
@@ -442,7 +404,7 @@ def cross_validate(req, dump_dir=None):
             values[prefix + "zeromaps"] = tate_hh0(session.A,
                                                    session.A.nakayama(j))
         if d >= 1 and session._oracle_feasible(d):
-            B = _nakayama_module(session.A, j)
+            B = nakayama_module(session.A, j)
             if variant == "homology":
                 win = homology_window(B, d, req.budget)
                 values[prefix + "oracle"] = win.homology_dim(d)
@@ -463,7 +425,7 @@ def _dump_disagreement(session, variant, d, j, degree, dump_dir):
 
     os.makedirs(dump_dir, exist_ok=True)
     paths = []
-    B = _nakayama_module(session.A, j)
+    B = nakayama_module(session.A, j)
     if variant == "homology":
         win = homology_window(B, d, session.req.budget)
     else:

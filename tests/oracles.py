@@ -116,3 +116,26 @@ def center_dim(A):
                 row.append(field.sub(left, right))
             rows.append(row)
     return A.dim - dense_rank(field, rows)
+
+
+def intertwiner_space_dim(field, M, N):
+    """Dimension of the bimodule maps M -> N, with the map as dim^2 unknowns.
+
+    Row (side, w, r, t) of the dense system reads (Phi act_M - act_N Phi)[r][t]
+    = 0 for the left and right actions of x_w; Phi[r][s] is unknown r*dim + s.
+    """
+    dim = M.dim
+    rows = []
+    for act_m, act_n in zip(M.left + M.right, N.left + N.right):
+        for r in range(dim):
+            for t in range(dim):
+                row = [field.zero] * (dim * dim)
+                for s, v in act_m[t].items():
+                    row[r * dim + s] = field.add(row[r * dim + s], v)
+                for s in range(dim):
+                    v = act_n[s].get(r)
+                    if v is not None:
+                        row[s * dim + t] = field.sub(row[s * dim + t], v)
+                if any(x != field.zero for x in row):
+                    rows.append(row)
+    return dim * dim - dense_rank(field, rows)

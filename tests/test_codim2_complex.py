@@ -9,7 +9,6 @@ from tatehh.codim2_complex import (
     DeltaComplex,
     KScalarTable,
     expected_kernel_dim,
-    k_scalar,
     kernel_dims,
     twisted_homology_dims,
 )
@@ -35,10 +34,6 @@ class TestKScalars:
         assert table.k_scalar(4, 1, 1, 0, 0) == q**2 - 1
         assert table.k_scalar(5, 2, 0, 0, 0) == q**-2 - 1
         assert table.k_scalar(3, 1, 1, 0, 0) == q - q**-2
-
-    def test_module_level_wrapper(self):
-        table = KScalarTable(generic_algebra())
-        assert k_scalar(table, 4, 1, 1, 0, 0) == table.k_scalar(4, 1, 1, 0, 0)
 
     @pytest.mark.parametrize("m,t,i", [
         (1, 1, 1),   # needs i even

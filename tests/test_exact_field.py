@@ -8,7 +8,6 @@ from tatehh.exact_field import (
     QQ,
     PrimeField,
     RationalField,
-    assert_not_root_of_unity,
     is_root_of_unity,
     scalar_pow,
 )
@@ -124,12 +123,3 @@ def test_root_of_unity_detection():
         is_root_of_unity(QQ, QQ.zero)
     with pytest.raises(ValueError):
         is_root_of_unity(F, 0)
-
-
-def test_assert_not_root_of_unity_is_a_predicate():
-    assert assert_not_root_of_unity(QQ, Fraction(2)) is True
-    assert assert_not_root_of_unity(QQ, Fraction(3, 2)) is True
-    assert assert_not_root_of_unity(QQ, Fraction(-1)) is False
-    assert assert_not_root_of_unity(PrimeField(7), 3) is False
-    with pytest.raises(ValueError):
-        assert_not_root_of_unity(QQ, QQ.zero)

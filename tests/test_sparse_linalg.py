@@ -49,6 +49,20 @@ def test_rank_needs_exact_fallback():
     assert M.rank() == 1
 
 
+def test_rank_of_entry_vanishing_mod_prepass_prime():
+    # the pre-pass prime 2^61 - 1 divides the entry, so its residue is 0
+    assert SparseMatrix(QQ, 1, 1, [(0, 0, Fraction(2**61 - 1))]).rank() == 1
+
+
+def test_rank_with_vanishing_residue_beside_unit():
+    # -(2^61 - 1)/4 occurs in the degree-39 map of the two-generator
+    # complex for exponents (3, 2) and q = 2
+    tiny = Fraction(-(2**61 - 1), 4)
+    assert SparseMatrix(QQ, 1, 2, [(0, 0, tiny), (0, 1, QQ.one)]).rank() == 1
+    # rank 1 mod p stays below the bound 2, so exact elimination decides
+    assert SparseMatrix(QQ, 2, 2, [(0, 0, tiny), (1, 1, QQ.one)]).rank() == 2
+
+
 def test_rank_characteristic_dependence():
     F2, F3 = PrimeField(2), PrimeField(3)
     entries2 = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, F2.of_int(-1))]

@@ -1,6 +1,7 @@
 """Tests for the routing engine and its duality reductions."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -11,27 +12,27 @@ from tatehh import (
     dual_bimodule,
     exterior_algebra,
     truncated_polynomial_algebra,
-    twisted_bimodule,
 )
 from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
+from tatehh.qci_algebra import QciAlgebra, mat_apply, mat_mul
 from tatehh.tate_engine import (
     TateRequest,
     bimodules_isomorphic,
     coefficient_name,
     cross_validate,
+    nakayama_module,
     recognize_nakayama_power,
     tate_dims,
+    twisted_centre,
 )
+
+from oracles import cols_to_rows, dense_rank, intertwiner_space_dim
 
 TERMINALS = ("formula", "delta", "zeromaps", "oracle")
 
 
 def codim2_q2():
     return codim2_algebra(QQ, 2, 2, Fraction(2))
-
-
-def nu_power(A, k):
-    return twisted_bimodule(A, A.nakayama(k), A.identity_twist())
 
 
 class TestRequestValidation:
@@ -172,34 +173,94 @@ class TestRecognition:
     def test_dual_of_regular_is_nu_twist(self):
         for A in (codim2_q2(), exterior_algebra(PrimeField(3), 2),
                   truncated_polynomial_algebra(QQ, (2, 2))):
-            dual = dual_bimodule(nu_power(A, 0))
+            dual = dual_bimodule(nakayama_module(A, 0))
             assert recognize_nakayama_power(A, dual, expected_first=1) == 1
 
     def test_dual_of_twist_shifts_exponent(self):
         A = codim2_q2()
         for k in (1, 2, -1):
-            dual = dual_bimodule(nu_power(A, k))
+            dual = dual_bimodule(nakayama_module(A, k))
             assert recognize_nakayama_power(A, dual,
                                             expected_first=1 - k) == 1 - k
 
     def test_isomorphism_respects_twist_order(self):
         E = exterior_algebra(PrimeField(3), 2)  # nu^2 = identity
-        assert bimodules_isomorphic(nu_power(E, 1), nu_power(E, -1))
+        assert bimodules_isomorphic(nakayama_module(E, 1), E.nakayama(-1))
         A = codim2_q2()
-        assert not bimodules_isomorphic(nu_power(A, 1), nu_power(A, 0))
+        assert not bimodules_isomorphic(nakayama_module(A, 1), A.nakayama(0))
 
     def test_foreign_module_not_recognized(self):
         A = codim2_q2()
         other = truncated_polynomial_algebra(QQ, (2, 2))
-        assert recognize_nakayama_power(A, nu_power(other, 0)) is None
+        assert recognize_nakayama_power(A, nakayama_module(other, 0)) is None
 
     def test_dual_of_nu_squared_matches_inverse_twist_homology(self):
         A = codim2_q2()
         lhs = hh_homology_dims(
-            BarWindowRequest(dual_bimodule(nu_power(A, 2)), 3, "homology"))
+            BarWindowRequest(dual_bimodule(nakayama_module(A, 2)), 3,
+                             "homology"))
         rhs = hh_homology_dims(
-            BarWindowRequest(nu_power(A, -1), 3, "homology"))
+            BarWindowRequest(nakayama_module(A, -1), 3, "homology"))
         assert lhs == rhs
+
+
+def seeded_qcis():
+    """Two QCIs per field with c <= 3 and dim <= 8, every q_ij off +-1
+    where the field has such a unit (GF(3) has none, so q = -1 there)."""
+    rng = Random(4019)
+    shapes = ((2, 2), (2, 3), (3, 2), (2, 4), (2, 2, 2))
+    algebras = []
+    for field in (QQ, PrimeField(3), PrimeField(5), PrimeField(7)):
+        p = field.characteristic
+        units = [field.of_int(v) for v in range(2, p - 1)] if p else \
+            [Fraction(2), Fraction(1, 3), Fraction(-3, 2)]
+        units = units or [field.of_int(-1)]
+        for exps in rng.sample(shapes, 2):
+            c = len(exps)
+            q = [[field.one] * c for _ in range(c)]
+            for i in range(c):
+                for j in range(i + 1, c):
+                    q[i][j] = rng.choice(units)
+                    q[j][i] = field.inv(q[i][j])
+            algebras.append(QciAlgebra(field, exps, q))
+    return algebras
+
+
+RECOGNITION_ALGEBRAS = [codim2_q2(), exterior_algebra(PrimeField(3), 2),
+                        truncated_polynomial_algebra(QQ, (2, 2))] + \
+    seeded_qcis()
+
+
+class TestTwistedCentre:
+    @pytest.mark.parametrize("A", RECOGNITION_ALGEBRAS, ids=[
+        f"{i}-{A.field!r}-{'x'.join(map(str, A.exponents))}"
+        for i, A in enumerate(RECOGNITION_ALGEBRAS)])
+    def test_recognizer_against_intertwiner_oracle(self, A):
+        field = A.field
+        for k in range(-2, 3):
+            M = dual_bimodule(nakayama_module(A, k))
+            for j in range(-2, 3):
+                N = nakayama_module(A, j)
+                centre = twisted_centre(M, A.nakayama(j))
+                assert len(centre) == intertwiner_space_dim(field, N, M)
+                # every z gives the bimodule map a -> z.a from N to M
+                maps = [[mat_apply(field, M.right_monomial(a), z)
+                         for a in range(A.dim)] for z in centre]
+                for phi in maps:
+                    for act_n, act_m in zip(N.left + N.right,
+                                            M.left + M.right):
+                        assert mat_mul(field, phi, act_n) == \
+                            mat_mul(field, act_m, phi)
+                full = [phi for phi in maps
+                        if dense_rank(field, cols_to_rows(field, A.dim, phi))
+                        == A.dim]
+                iso = bimodules_isomorphic(M, A.nakayama(j))
+                assert iso == bool(full)
+                assert iso == (A.nakayama(j) == A.nakayama(1 - k))
+            assert recognize_nakayama_power(A, M, expected_first=1 - k) \
+                == 1 - k
+            assert A.nakayama(recognize_nakayama_power(A, M)) == \
+                A.nakayama(1 - k)
 
 
 class TestDualityProperties:
