@@ -35,8 +35,9 @@ from .hochschild_bar import BarWindowRequest, BudgetExceeded, DEFAULT_BUDGET, \
 from .near_zero import check_exactness_claim, tate_hh0
 from .qci_algebra import QciAlgebra, codim2_algebra, dual_bimodule, \
     exterior_algebra, truncated_polynomial_algebra
-from .tate_engine import TableEntry, TateRequest, coefficient_name, \
-    nakayama_module, tate_dims
+from .tate_engine import CSV_HEADER, TableEntry, TateRequest, \
+    coefficient_name, entries_csv, entries_json_dict, nakayama_module, \
+    tate_dims
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -79,6 +80,8 @@ def parse_spec(text):
             not all(isinstance(a, int) for a in exponents):
         raise ValueError('"exponents" must be a list of integers')
     c = doc.get("c", len(exponents))
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ValueError(f'"c" must be an integer, got {c!r}')
     if c != len(exponents):
         raise ValueError(f'"c" is {c} but {len(exponents)} exponents given')
     q_doc = doc.get("q")
@@ -123,7 +126,7 @@ def _parse_coeff(text):
 def table_from_csv(text):
     """Entries of a dims CSV document (inverse of DimensionTable.to_csv)."""
     lines = text.strip("\n").split("\n")
-    if lines[0] != "degree,dimension,method,source":
+    if lines[0] != CSV_HEADER:
         raise ValueError("unexpected CSV header")
     entries = []
     for line in lines[1:]:
@@ -138,22 +141,6 @@ def table_from_json(text):
     doc = json.loads(text)
     return [TableEntry(e["degree"], e["dimension"], e["method"], e["source"])
             for e in doc["entries"]]
-
-
-def _render_entries(entries, fmt, header=None):
-    if fmt == "csv":
-        lines = ["degree,dimension,method,source"]
-        for e in entries:
-            dim = "" if e.dimension is None else str(e.dimension)
-            lines.append(f"{e.degree},{dim},{e.method},{e.source}")
-        return "\n".join(lines) + "\n"
-    doc = dict(header or {})
-    doc["entries"] = [
-        {"degree": e.degree, "dimension": e.dimension,
-         "method": e.method, "source": e.source}
-        for e in entries
-    ]
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _emit(payload, out_path):
@@ -195,9 +182,14 @@ def _cmd_oracle(args):
         dims = hh_cohomology_dims(req)
     entries = [TableEntry(n, dims[n], "oracle", coefficient_name(k))
                for n in range(args.max + 1)]
-    header = {"algebra": algebra.describe(), "variant": args.variant,
-              "coefficient": coefficient_name(k)}
-    _emit(_render_entries(entries, args.format, header), args.out)
+    if args.format == "csv":
+        payload = entries_csv(entries)
+    else:
+        header = {"algebra": algebra.describe(), "variant": args.variant,
+                  "coefficient": coefficient_name(k)}
+        payload = json.dumps(entries_json_dict(header, entries),
+                             indent=2) + "\n"
+    _emit(payload, args.out)
     return EXIT_OK
 
 

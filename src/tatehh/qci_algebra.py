@@ -333,7 +333,7 @@ class Bimodule:
     right actions q-commute contravariantly, and the two sides commute.
     """
 
-    def __init__(self, algebra, left, right, label="", check=True):
+    def __init__(self, algebra, left, right, label=""):
         self.algebra = algebra
         self.field = algebra.field
         self.left = [list(m) for m in left]
@@ -347,8 +347,7 @@ class Bimodule:
         self.label = label
         self._left_mono = {}
         self._right_mono = {}
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         field = self.field
@@ -491,7 +490,6 @@ def regular_bimodule(algebra):
 
 def dual_bimodule(B, label=None):
     """The linear dual: actions transposed, sides exchanged."""
-    field = B.field
     left = [mat_transpose(B.dim, m) for m in B.right]
     right = [mat_transpose(B.dim, m) for m in B.left]
     if label is None:

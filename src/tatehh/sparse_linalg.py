@@ -1,15 +1,19 @@
 """Exact sparse matrices, ranks, kernels, and chain-complex windows.
 
 Matrices are immutable coordinate-format collections of nonzero entries over
-an exact field.  Rank uses Gaussian elimination with Markowitz-style pivoting
-(pivot minimizing (row_nnz - 1) * (col_nnz - 1), ties broken by (row, col)),
-run independently on each connected component of the bipartite row/column
-graph; the differentials handled here are block-diagonal in a monomial
-multigrading, and the component split recovers those blocks without having to
-know the grading.  Over the rationals a modular pre-pass computes the rank
-mod a fixed word-sized prime first; that lower bound is certified only when
-it meets the trivial upper bound min(#nonzero rows, #nonzero cols), otherwise
-exact fraction elimination decides.
+an exact field.  One forward elimination serves rank and kernel: each pivot
+is taken in a shortest remaining row, at the column of that row with the
+fewest remaining rows, ties going to the lowest index (a Markowitz-style
+rule that bounds fill by the pivot's row and column counts without scanning
+every entry).  Rank is the number of pivots, counted on whichever of the
+matrix and its transpose has fewer rows; the kernel basis comes from
+back-substituting the pivot rows.  Elimination never creates fill between
+rows and columns it does not already connect, so the blocks of a
+multigraded differential stay apart without being split out first.  Over the
+rationals a modular pre-pass computes the rank mod a fixed word-sized prime
+first; that lower bound is certified only when it meets the trivial upper
+bound min(#nonzero rows, #nonzero cols), otherwise exact fraction elimination
+decides.
 
 A ChainComplexWindow is a finite run of degrees with one matrix per adjacent
 pair, mapping degree n to n - 1.  Construction checks shapes and that
@@ -17,6 +21,8 @@ adjacent maps compose to zero, which is the main guard against transcription
 errors in hand-built differentials; homology dimensions are available at
 interior degrees only.
 """
+
+import heapq
 
 from .exact_field import PrimeField
 
@@ -168,30 +174,39 @@ class SparseMatrix:
     def _compute_rank(self):
         if self._nnz == 0:
             return 0
-        field = self.field
-        if field.characteristic == 0:
-            modular = self._modular_entries()
+        if self.field.characteristic == 0:
+            modular = self._elimination_rows(residues=True)
             if modular is not None:
-                rated = _component_rank(_PREPASS_FIELD, modular)
-                nonzero_rows = len(self._rows)
-                nonzero_cols = len({j for row in self._rows.values() for j in row})
-                if rated == min(nonzero_rows, nonzero_cols):
+                rated = sum(1 for _ in _eliminate(_PREPASS_FIELD, modular))
+                cols = {j for row in self._rows.values() for j in row}
+                if rated == min(len(self._rows), len(cols)):
                     return rated
-        return _component_rank(field, self.entries())
+        return sum(1 for _ in _eliminate(self.field, self._elimination_rows()))
 
-    def _modular_entries(self):
-        """Nonzero entries reduced mod the pre-pass prime, or None if a
-        denominator vanishes there (exact elimination then decides alone).
-        Dropping zero residues leaves the same matrix mod p, whose rank is
-        still a lower bound on the rational rank."""
+    def _elimination_rows(self, residues=False):
+        """A fresh {row: {col: scalar}} copy of the matrix, or of its
+        transpose when that has fewer rows: the rank is the same, and fewer,
+        longer rows take less memory.  With ``residues`` each scalar is
+        reduced mod the pre-pass prime and zero residues are dropped: the
+        same matrix mod p, whose rank is a lower bound on the rational rank;
+        None if a denominator vanishes there (exact elimination then decides
+        alone).
+        """
+        flip = self.nrows > self.ncols
         p = _PREPASS_PRIME
-        out = []
-        for i, j, v in self.entries():
-            if v.denominator % p == 0:
-                return None
-            r = (v.numerator % p) * pow(v.denominator % p, -1, p) % p
-            if r:
-                out.append((i, j, r))
+        out = {}
+        for i, row in self._rows.items():
+            for j, v in row.items():
+                if residues:
+                    if v.denominator % p == 0:
+                        return None
+                    v = v.numerator * pow(v.denominator, -1, p) % p
+                    if not v:
+                        continue
+                if flip:
+                    out.setdefault(j, {})[i] = v
+                else:
+                    out.setdefault(i, {})[j] = v
         return out
 
     def kernel_dim(self):
@@ -205,140 +220,70 @@ class SparseMatrix:
         """
         field = self.field
         rows = {i: dict(row) for i, row in self._rows.items()}
-        pivots = _gauss_jordan(field, rows)
-        pivot_cols = set(pivots.values())
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_cols:
-                continue
-            vec = {f: field.one}
-            for r, c in pivots.items():
-                coeff = rows[r].get(f)
-                if coeff is not None:
-                    vec[c] = field.neg(coeff)
-            basis.append(vec)
-        return basis
-
-
-def _gauss_jordan(field, rows):
-    """In-place full reduction with Markowitz pivoting.
-
-    ``rows`` maps row index to {col: scalar}.  Returns {pivot row: pivot col};
-    afterwards each pivot row is normalized and every pivot column is cleared
-    elsewhere, so non-pivot entries of pivot rows sit in free columns only.
-    """
-    col_rows = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    active = {i for i, row in rows.items() if row}
-    pivots = {}
-    while active:
-        best = None
-        for i in active:
-            ri = len(rows[i]) - 1
-            for j, v in rows[i].items():
-                score = ri * (len(col_rows[j]) - 1)
-                key = (score, i, j)
-                if best is None or key < best:
-                    best = key
-        _, pi, pj = best
-        pivots[pi] = pj
-        active.discard(pi)
-        inv = field.inv(rows[pi][pj])
-        if inv != field.one:
-            rows[pi] = {j: field.mul(inv, v) for j, v in rows[pi].items()}
-        prow = rows[pi]
-        for r in list(col_rows[pj]):
-            if r == pi:
-                continue
-            factor = rows[r][pj]
-            target = rows[r]
-            for j, v in prow.items():
-                val = field.sub(target.get(j, field.zero), field.mul(factor, v))
-                if val == field.zero:
-                    if j in target:
-                        del target[j]
-                        col_rows[j].discard(r)
-                else:
-                    if j not in target:
-                        col_rows[j].add(r)
-                    target[j] = val
-            if not target:
-                active.discard(r)
-    return pivots
-
-
-def _component_rank(field, entries):
-    """Rank as the sum of ranks of connected components.
-
-    Components of the bipartite graph on rows and columns (edges at nonzero
-    entries) can be eliminated independently; for graded differentials this
-    recovers the grading blocks.
-    """
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        for node in (x, y):
-            if node not in parent:
-                parent[node] = node
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i, j, _ in entries:
-        union(("r", i), ("c", j))
-    groups = {}
-    for i, j, v in entries:
-        groups.setdefault(find(("r", i)), []).append((i, j, v))
-    total = 0
-    for key in sorted(groups, key=lambda k: k[1]):
-        total += _markowitz_rank(field, groups[key])
-    return total
-
-
-def _markowitz_rank(field, entries):
-    """Rank of one component by destructive Markowitz elimination."""
-    rows = {}
-    for i, j, v in entries:
-        rows.setdefault(i, {})[j] = v
-    col_rows = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        best = None
-        for i, row in rows.items():
-            ri = len(row) - 1
-            for j in row:
-                score = ri * (len(col_rows[j]) - 1)
-                key = (score, i, j)
-                if best is None or key < best:
-                    best = key
-        _, pi, pj = best
-        rank += 1
-        prow = rows.pop(pi)
-        inv = field.inv(prow[pj])
-        for j in prow:
-            col_rows[j].discard(pi)
-        rest = col_rows.pop(pj)
-        for r in rest:
-            target = rows[r]
-            factor = field.mul(target.pop(pj), inv)
+        pivots = list(_eliminate(field, rows))
+        # back-substitution: a pivot row mentions only its own column, free
+        # columns and columns pivoted after it, so in reverse order each
+        # pivot unknown becomes a combination of free unknowns
+        solved = {}
+        for pj, prow in reversed(pivots):
+            scale = field.neg(field.inv(prow[pj]))
+            expr = {}
             for j, v in prow.items():
                 if j == pj:
                     continue
-                val = field.sub(target.get(j, field.zero), field.mul(factor, v))
-                if val == field.zero:
+                c = field.mul(scale, v)
+                for f, w in solved.get(j, {j: field.one}).items():
+                    val = field.add(expr.get(f, field.zero), field.mul(c, w))
+                    if val == field.zero:
+                        expr.pop(f, None)
+                    else:
+                        expr[f] = val
+            solved[pj] = expr
+        basis = {f: {f: field.one}
+                 for f in range(self.ncols) if f not in solved}
+        for pj, _ in pivots:
+            for f, coeff in solved[pj].items():
+                basis[f][pj] = coeff
+        return list(basis.values())
+
+
+def _eliminate(field, rows):
+    """Forward elimination; yields (pivot col, pivot row) once per pivot.
+
+    ``rows`` maps row index to {col: scalar} and is consumed.  Each pivot is
+    taken in a shortest remaining row, at its column with the fewest
+    remaining rows, ties going to the lowest index; a heap keyed by (row
+    length, row) finds the row, and entries left stale by a length change
+    are skipped when popped.  A yielded pivot row holds the pivot column
+    and columns not pivoted yet.
+    """
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    col_rows = {}
+    for i, row in rows.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items() if row]
+    heapq.heapify(heap)
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        del rows[pi]
+        pj = min(prow, key=lambda j: (len(col_rows[j]), j))
+        for j in prow:
+            col_rows[j].discard(pi)
+        inv = field.inv(prow[pj])
+        for r in col_rows.pop(pj):
+            target = rows[r]
+            before = len(target)
+            factor = mul(target.pop(pj), inv)
+            for j, v in prow.items():
+                if j == pj:
+                    continue
+                val = sub(target.get(j, zero), mul(factor, v))
+                if val == zero:
                     if j in target:
                         del target[j]
                         col_rows[j].discard(r)
@@ -348,7 +293,9 @@ def _markowitz_rank(field, entries):
                     target[j] = val
             if not target:
                 del rows[r]
-    return rank
+            elif len(target) != before:
+                heapq.heappush(heap, (len(target), r))
+        yield pj, prow
 
 
 class ChainComplexWindow:

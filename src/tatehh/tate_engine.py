@@ -109,25 +109,39 @@ class DimensionTable:
         return all(e.dimension is not None for e in self.entries)
 
     def to_csv(self):
-        lines = ["degree,dimension,method,source"]
-        for e in self.entries:
-            dim = "" if e.dimension is None else str(e.dimension)
-            lines.append(f"{e.degree},{dim},{e.method},{e.source}")
-        return "\n".join(lines) + "\n"
+        return entries_csv(self.entries)
 
     def to_json_dict(self):
         req = self.request
-        return {
+        return entries_json_dict({
             "algebra": req.algebra.describe(),
             "variant": req.variant,
             "coefficient": coefficient_name(req.nakayama_power),
             "method_policy": req.method,
-            "entries": [
-                {"degree": e.degree, "dimension": e.dimension,
-                 "method": e.method, "source": e.source}
-                for e in self.entries
-            ],
-        }
+        }, self.entries)
+
+
+CSV_HEADER = "degree,dimension,method,source"
+
+
+def entries_csv(entries):
+    """CSV text of table entries; an unavailable dimension is left empty."""
+    lines = [CSV_HEADER]
+    for e in entries:
+        dim = "" if e.dimension is None else str(e.dimension)
+        lines.append(f"{e.degree},{dim},{e.method},{e.source}")
+    return "\n".join(lines) + "\n"
+
+
+def entries_json_dict(header, entries):
+    """A copy of ``header`` with the entries under "entries"."""
+    doc = dict(header)
+    doc["entries"] = [
+        {"degree": e.degree, "dimension": e.dimension,
+         "method": e.method, "source": e.source}
+        for e in entries
+    ]
+    return doc
 
 
 def _is_generic_codim2(A):

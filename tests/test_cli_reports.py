@@ -28,6 +28,45 @@ EXTERIOR_GF2_SPEC = """{
   "q": [["1", "-1", "-1"], ["-1", "1", "-1"], ["-1", "-1", "1"]]
 }"""
 
+# `tatehh oracle --spec CODIM2_SPEC --max 1 --coeff nu:1 --format json`
+GOLDEN_ORACLE_JSON = (
+    '{\n'
+    '  "algebra": {\n'
+    '    "field": "QQ",\n'
+    '    "exponents": [\n'
+    '      2,\n'
+    '      2\n'
+    '    ],\n'
+    '    "q": [\n'
+    '      [\n'
+    '        "1",\n'
+    '        "2"\n'
+    '      ],\n'
+    '      [\n'
+    '        "1/2",\n'
+    '        "1"\n'
+    '      ]\n'
+    '    ]\n'
+    '  },\n'
+    '  "variant": "homology",\n'
+    '  "coefficient": "nu^1",\n'
+    '  "entries": [\n'
+    '    {\n'
+    '      "degree": 0,\n'
+    '      "dimension": 2,\n'
+    '      "method": "oracle",\n'
+    '      "source": "nu^1"\n'
+    '    },\n'
+    '    {\n'
+    '      "degree": 1,\n'
+    '      "dimension": 2,\n'
+    '      "method": "oracle",\n'
+    '      "source": "nu^1"\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
 
 @pytest.fixture
 def codim2_path(tmp_path):
@@ -79,6 +118,10 @@ class TestParseSpec:
         with pytest.raises(ValueError, match="2 x 2"):
             parse_spec('{"field": {"type": "rational"},'
                        ' "exponents": [2, 2], "q": [["1"]]}')
+        for c in ('"1"', "1.0", "true"):
+            with pytest.raises(ValueError, match='"c" must be an integer'):
+                parse_spec('{"field": {"type": "rational"}, "c": %s,'
+                           ' "exponents": [2], "q": [["1"]]}' % c)
 
     def test_single_generator_defaults_q(self):
         A = parse_spec('{"field": {"type": "prime", "p": 5},'
@@ -176,6 +219,16 @@ class TestOracleCommand:
         # ordinary degree-0 value differs from the stable table
         assert [e.dimension for e in entries] == [2, 2, 1, 0]
         assert {e.method for e in entries} == {"oracle"}
+
+    def test_golden_bytes(self, codim2_path, capsys):
+        argv = ["oracle", "--spec", codim2_path, "--max", "1",
+                "--coeff", "nu:1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == ("degree,dimension,method,source\n"
+                                           "0,2,oracle,nu^1\n"
+                                           "1,2,oracle,nu^1\n")
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_ORACLE_JSON
 
     def test_budget_exit(self, codim2_path, capsys):
         assert main(["oracle", "--spec", codim2_path, "--max", "5",

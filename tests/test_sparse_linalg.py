@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tatehh.exact_field import QQ, PrimeField
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
@@ -97,7 +98,7 @@ def test_rank_of_product_bounded():
 
 
 def test_block_diagonal_rank_uses_components():
-    # permuted direct sum of known blocks; the component split must find them
+    # permuted direct sum of known blocks; elimination never mixes them
     rng = random.Random(99)
     blocks = []
     entries = {}
@@ -158,6 +159,113 @@ def test_kernel_basis_deterministic_shape():
 def test_dump_coordinates_format():
     M = SparseMatrix(QQ, 2, 3, [(1, 2, Fraction(-1, 2)), (0, 1, Fraction(3))])
     assert M.dump_coordinates() == "2 3 2\n0 1 3\n1 2 -1/2\n"
+
+
+# ---------------------------------------------------------------------------
+# properties of the elimination core on generated matrices
+# ---------------------------------------------------------------------------
+
+PREPASS_PRIME = 2 ** 61 - 1
+QQ_SCALARS = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [
+    Fraction(1, 2), Fraction(-2, 3)]
+# residue 0 mod the pre-pass prime, or a denominator vanishing there: half
+# of all rational entries, so that the pre-pass often falls short
+QQ_PREPASS_SCALARS = [
+    Fraction(PREPASS_PRIME), Fraction(-PREPASS_PRIME, 4),
+    Fraction(2 * PREPASS_PRIME, 3), Fraction(1, PREPASS_PRIME)]
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                             max_examples=150)
+
+
+def scalars(field):
+    if field.characteristic == 0:
+        return st.one_of(st.sampled_from(QQ_SCALARS),
+                         st.sampled_from(QQ_PREPASS_SCALARS))
+    return st.integers(1, field.p - 1)
+
+
+def drawn_matrix(draw, field, nrows, ncols):
+    mask = draw(st.lists(st.booleans(), min_size=nrows * ncols,
+                         max_size=nrows * ncols))
+    return SparseMatrix.from_dict(
+        field, nrows, ncols,
+        {divmod(k, ncols): draw(scalars(field))
+         for k, chosen in enumerate(mask) if chosen})
+
+
+@st.composite
+def plain_matrices(draw, field, max_side=8):
+    shape = draw(st.sampled_from(("square", "tall", "wide")))
+    short, long_ = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+    nrows, ncols = {"square": (draw(st.integers(0, max_side)),) * 2,
+                    "tall": (long_, short),
+                    "wide": (short, long_)}[shape]
+    return drawn_matrix(draw, field, nrows, ncols)
+
+
+@st.composite
+def low_rank_matrices(draw, field):
+    left = draw(plain_matrices(field))
+    right = drawn_matrix(draw, field, left.ncols, draw(st.integers(0, 8)))
+    return left.compose(right)
+
+
+@st.composite
+def block_diagonal_matrices(draw, field):
+    blocks = draw(st.lists(plain_matrices(field, max_side=4), min_size=1,
+                           max_size=4))
+    nrows = sum(B.nrows for B in blocks)
+    ncols = sum(B.ncols for B in blocks)
+    rperm = draw(st.permutations(range(nrows)))
+    cperm = draw(st.permutations(range(ncols)))
+    entries = {}
+    offset_r = offset_c = 0
+    for B in blocks:
+        for i, j, v in B.entries():
+            entries[(rperm[offset_r + i], cperm[offset_c + j])] = v
+        offset_r += B.nrows
+        offset_c += B.ncols
+    return SparseMatrix.from_dict(field, nrows, ncols, entries)
+
+
+matrices = st.sampled_from(FIELDS).flatmap(
+    lambda field: st.one_of(plain_matrices(field), low_rank_matrices(field),
+                            block_diagonal_matrices(field)))
+
+
+@PROPERTY_SETTINGS
+@given(matrices)
+def test_property_rank_matches_dense_oracle(M):
+    assert M.rank() == dense_rank(M.field, dense_of(M))
+
+
+@PROPERTY_SETTINGS
+@given(matrices)
+def test_property_rank_equals_rank_of_transpose(M):
+    assert M.rank() == M.transpose().rank()
+
+
+@PROPERTY_SETTINGS
+@given(matrices)
+def test_property_kernel_basis(M):
+    field = M.field
+    basis = M.kernel_basis()
+    assert len(basis) == M.ncols - dense_rank(field, dense_of(M))
+    for vec in basis:
+        assert M.apply(vec) == {}
+    # each vector owns a unit coordinate no other vector touches, and these
+    # free columns increase along the basis
+    previous = -1
+    for k, vec in enumerate(basis):
+        others = basis[:k] + basis[k + 1:]
+        owned = [j for j, v in sorted(vec.items())
+                 if v == field.one and j > previous
+                 and not any(j in other for other in others)]
+        assert owned
+        previous = owned[0]
+    dense = [[vec.get(j, field.zero) for j in range(M.ncols)] for vec in basis]
+    assert dense_rank(field, dense) == len(basis)
 
 
 # ---------------------------------------------------------------------------
