@@ -102,7 +102,7 @@ class PrimeField:
     """GF(p) with integer scalars in range(p); p must be prime and < 2**61."""
 
     def __init__(self, p):
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"prime modulus must be an integer, got {p!r}")
         if not 2 <= p < MAX_PRIME_EXCLUSIVE:
             raise ValueError(f"prime modulus out of range [2, 2**61): {p}")

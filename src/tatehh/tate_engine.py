@@ -12,8 +12,12 @@ Each degree is routed to one terminal computation:
              inverse-Nakayama twist at a generic commutation scalar;
   zeromaps   the three-term window around degree zero, for degree-0 homology
              of any diagonal twist;
+  resolution the twisted-tensor bimodule resolution, for positive degrees of
+             any variant and twist, within the element budget;
   oracle     the bar (co)chain complexes, for positive degrees within the
-             element budget.
+             element budget; only the bar_only policy routes to it, so it
+             stays an independent check (cross_validate, the oracle command
+             and the verify suites).
 
 Degrees with no direct terminal reduce through exactly one duality hop and
 never two: negative homology of the k-th twist equals degree -n-1 homology
@@ -37,11 +41,12 @@ from .hochschild_bar import DEFAULT_BUDGET, CohomologyWindow, homology_window
 from .near_zero import tate_hh0
 from .qci_algebra import dual_bimodule, mat_apply, twisted_bimodule
 from .sparse_linalg import SparseMatrix
+from .twisted_resolution import ResolutionWindow, chain_space_dim
 
 _POLICIES = {
-    "auto": ("formula", "delta", "zeromaps", "oracle"),
+    "auto": ("formula", "delta", "zeromaps", "resolution"),
     "formula_only": ("formula",),
-    "complex_only": ("delta", "zeromaps"),
+    "complex_only": ("delta", "zeromaps", "resolution"),
     "bar_only": ("oracle",),
 }
 
@@ -227,8 +232,8 @@ class _Session:
         self.terminals = _POLICIES[req.method]
         self._delta = None
         self._delta_top = 0
-        self._bar_windows = {}
-        self._bar_tops = {}
+        self._windows = {}
+        self._window_tops = {}
         self._recognized = {}
 
     # ---- reductions -------------------------------------------------
@@ -255,9 +260,14 @@ class _Session:
             return True
         return _is_generic_codim2(self.A)
 
-    def _oracle_feasible(self, d):
-        dim = self.A.dim
-        return dim * dim ** (d + 1) <= self.req.budget
+    def _needed(self, terminal, d):
+        """Size of the largest chain space a degree-d window reads."""
+        if terminal == "oracle":
+            return self.A.dim ** (d + 2)
+        return chain_space_dim(self.A.c, self.A.dim, d + 1)
+
+    def _feasible(self, terminal, d):
+        return d >= 1 and self._needed(terminal, d) <= self.req.budget
 
     def _plan_terminal(self, variant, d, j):
         """(terminal name, None) or (None, unavailable reason)."""
@@ -272,13 +282,11 @@ class _Session:
             elif name == "zeromaps":
                 if variant == "homology" and d == 0:
                     return name, None
-            elif name == "oracle":
-                if d >= 1:
-                    if self._oracle_feasible(d):
-                        return name, None
-                    needed = self.A.dim ** (d + 2)
-                    return None, (f"degree {d} needs {needed} basis "
-                                  f"elements, budget is {self.req.budget}")
+            elif d >= 1:  # "resolution" or "oracle"
+                if self._feasible(name, d):
+                    return name, None
+                return None, (f"degree {d} needs {self._needed(name, d)} "
+                              f"basis elements, budget is {self.req.budget}")
         return None, f"no route under policy {self.req.method}"
 
     # ---- shared heavy objects ---------------------------------------
@@ -286,21 +294,25 @@ class _Session:
     def _note_need(self, terminal, variant, d, j):
         if terminal == "delta":
             self._delta_top = max(self._delta_top, d + 1)
-        elif terminal == "oracle":
-            key = (variant, j)
-            self._bar_tops[key] = max(self._bar_tops.get(key, 0), d)
+        elif terminal in ("resolution", "oracle"):
+            key = (terminal, variant, j)
+            self._window_tops[key] = max(self._window_tops.get(key, 0), d)
+
+    def _open_window(self, terminal, variant, j, top):
+        """A reader d -> dimension for the degrees up to top of one window."""
+        B = nakayama_module(self.A, j)
+        budget = self.req.budget
+        if terminal == "resolution":
+            return ResolutionWindow(B, top, variant, budget).dimension
+        if variant == "homology":
+            return homology_window(B, top, budget).homology_dim
+        return CohomologyWindow(B, top, budget).cohomology_dim
 
     def _build_shared(self):
         if self._delta_top:
             self._delta = DeltaComplex(self.A, self._delta_top)
-        for (variant, j), top in sorted(self._bar_tops.items()):
-            B = nakayama_module(self.A, j)
-            if variant == "homology":
-                self._bar_windows[(variant, j)] = \
-                    homology_window(B, top, self.req.budget)
-            else:
-                self._bar_windows[(variant, j)] = \
-                    CohomologyWindow(B, top, self.req.budget)
+        for key, top in sorted(self._window_tops.items()):
+            self._windows[key] = self._open_window(*key, top)
 
     # ---- evaluation --------------------------------------------------
 
@@ -314,10 +326,7 @@ class _Session:
             return self._delta.homology_dim(d)
         if terminal == "zeromaps":
             return tate_hh0(self.A, self.A.nakayama(j))
-        win = self._bar_windows.get((variant, j))
-        if variant == "homology":
-            return win.homology_dim(d)
-        return win.cohomology_dim(d)
+        return self._windows[(terminal, variant, j)](d)
 
     def _recognize_dual(self, k):
         if k not in self._recognized:
@@ -417,14 +426,10 @@ def cross_validate(req, dump_dir=None):
         if variant == "homology" and d == 0:
             values[prefix + "zeromaps"] = tate_hh0(session.A,
                                                    session.A.nakayama(j))
-        if d >= 1 and session._oracle_feasible(d):
-            B = nakayama_module(session.A, j)
-            if variant == "homology":
-                win = homology_window(B, d, req.budget)
-                values[prefix + "oracle"] = win.homology_dim(d)
-            else:
-                win = CohomologyWindow(B, d, req.budget)
-                values[prefix + "oracle"] = win.cohomology_dim(d)
+        for name in ("resolution", "oracle"):
+            if session._feasible(name, d):
+                values[prefix + name] = \
+                    session._open_window(name, variant, j, d)(d)
         distinct = {v for v in values.values()}
         row = {"degree": n, "values": values, "agree": len(distinct) <= 1}
         if not row["agree"] and dump_dir is not None:
@@ -440,13 +445,18 @@ def _dump_disagreement(session, variant, d, j, degree, dump_dir):
     os.makedirs(dump_dir, exist_ok=True)
     paths = []
     B = nakayama_module(session.A, j)
-    if variant == "homology":
-        win = homology_window(B, d, session.req.budget)
-    else:
-        win = CohomologyWindow(B, d, session.req.budget).window
-    for deg, mat in sorted(win.maps.items()):
-        path = os.path.join(dump_dir, f"degree{degree}_map{deg}.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(mat.dump_coordinates())
-        paths.append(path)
+    budget = session.req.budget
+    windows = {}
+    if session._feasible("resolution", d):
+        windows["resolution"] = ResolutionWindow(B, d, variant, budget).window
+    if session._feasible("oracle", d):
+        windows["oracle"] = homology_window(B, d, budget) \
+            if variant == "homology" else CohomologyWindow(B, d, budget).window
+    for name, win in windows.items():
+        for deg, mat in sorted(win.maps.items()):
+            path = os.path.join(dump_dir,
+                                f"degree{degree}_{name}_map{deg}.txt")
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(mat.dump_coordinates())
+            paths.append(path)
     return paths

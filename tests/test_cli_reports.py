@@ -123,6 +123,17 @@ class TestParseSpec:
                 parse_spec('{"field": {"type": "rational"}, "c": %s,'
                            ' "exponents": [2], "q": [["1"]]}' % c)
 
+    def test_rejects_boolean_prime(self, tmp_path):
+        spec = ('{"field": {"type": "prime", "p": true},'
+                ' "exponents": [2], "q": [["1"]]}')
+        with pytest.raises(ValueError,
+                           match="must be an integer, got True"):
+            parse_spec(spec)
+        path = tmp_path / "bool.json"
+        path.write_text(spec)
+        assert main(["dims", "--spec", str(path), "--min", "0",
+                     "--max", "1"]) == EXIT_USAGE
+
     def test_single_generator_defaults_q(self):
         A = parse_spec('{"field": {"type": "prime", "p": 5},'
                        ' "exponents": [4]}')

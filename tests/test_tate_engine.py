@@ -28,7 +28,7 @@ from tatehh.tate_engine import (
 
 from oracles import cols_to_rows, dense_rank, intertwiner_space_dim
 
-TERMINALS = ("formula", "delta", "zeromaps", "oracle")
+TERMINALS = ("formula", "delta", "zeromaps", "resolution", "oracle")
 
 
 def codim2_q2():
@@ -299,9 +299,10 @@ class TestCrossValidate:
         rep = cross_validate(TateRequest(codim2_q2(), -3, 3, "cohomology"))
         assert rep["all_agree"]
         by_degree = {r["degree"]: r["values"] for r in rep["degrees"]}
-        assert by_degree[1] == {"formula": 2, "oracle": 2}
+        assert by_degree[1] == {"formula": 2, "oracle": 2, "resolution": 2}
         assert by_degree[-2] == \
-            {"formula": 0, "duality:delta": 0, "duality:oracle": 0}
+            {"formula": 0, "duality:delta": 0, "duality:oracle": 0,
+             "duality:resolution": 0}
         assert by_degree[0] == {"formula": 1, "duality:zeromaps": 1}
 
     def test_commutative_ci_values(self):

@@ -1,0 +1,186 @@
+"""Tests for the twisted-tensor bimodule resolution and its routing."""
+
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tatehh import QQ, PrimeField, codim2_algebra, exterior_algebra, \
+    truncated_polynomial_algebra
+from tatehh import hochschild_bar
+from tatehh.cli_reports import EXIT_BUDGET, main
+from tatehh.codim2_complex import DeltaComplex
+from tatehh.hochschild_bar import BudgetExceeded, CohomologyWindow, \
+    homology_window
+from tatehh.qci_algebra import Bimodule, QciAlgebra
+from tatehh.tate_engine import TateRequest, cross_validate, \
+    nakayama_module, tate_dims
+from tatehh.twisted_resolution import ResolutionWindow, chain_space_dim, \
+    generators
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
+# every shape with c <= 3 and dim <= 8
+SHAPES = [(a,) for a in range(2, 9)] + \
+    [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 2, 2)]
+# q = +-1 included: the commutative and exterior corners
+QQ_UNITS = [Fraction(v) for v in (1, -1, 2, -2, 3)] + \
+    [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]
+
+
+@st.composite
+def qcis(draw):
+    field = draw(st.sampled_from(FIELDS))
+    exponents = draw(st.sampled_from(SHAPES))
+    c = len(exponents)
+    units = st.sampled_from(QQ_UNITS) if field.characteristic == 0 else \
+        st.integers(1, field.characteristic - 1)
+    q = [[field.one] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i + 1, c):
+            q[i][j] = draw(units)
+            q[j][i] = field.inv(q[i][j])
+    return QciAlgebra(field, exponents, q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(qcis(), st.integers(-2, 2))
+def test_property_matches_bar_oracle(A, k):
+    B = nakayama_module(A, k)
+    top = 3 if A.dim <= 6 else 2
+    homology = ResolutionWindow(B, top, "homology")
+    cohomology = ResolutionWindow(B, top, "cohomology")
+    bar_homology = homology_window(B, top)
+    bar_cohomology = CohomologyWindow(B, top)
+    assert [homology.dimension(n) for n in range(top + 1)] == \
+        [bar_homology.homology_dim(n) for n in range(top + 1)]
+    assert [cohomology.dimension(n) for n in range(top + 1)] == \
+        [bar_cohomology.cohomology_dim(n) for n in range(top + 1)]
+
+
+def test_generators_and_space_sizes():
+    assert generators(1, 4) == [(4,)]
+    assert sorted(generators(3, 2)) == sorted(
+        [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    E = exterior_algebra(QQ, 3)
+    # 120 coordinates in degree 4 for exterior c = 3 (the bar has 32768)
+    assert chain_space_dim(E.c, E.dim, 4) == 120
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_inverse_nakayama_matches_delta_complex(a, b):
+    for q in (Fraction(2), Fraction(-3, 5), Fraction(9, 7), Fraction(3)):
+        A = codim2_algebra(QQ, a, b, q)
+        delta = DeltaComplex(A, 21)
+        res = ResolutionWindow(nakayama_module(A, -1), 20)
+        degrees = range(1, 21)
+        assert [res.dimension(n) for n in degrees] == \
+            [delta.homology_dim(n) for n in degrees], (a, b, q)
+        assert [res.window.maps[n].kernel_dim() for n in degrees] == \
+            [delta.kernel_dim(n) for n in degrees], (a, b, q)
+
+
+def enveloping_bimodule(A):
+    """A (x) A acted on through its inner structure: x.(u (x) v) = u (x) xv,
+    (u (x) v).x = ux (x) v.  Its homology complex is P itself, so
+    b -> x^k b x^j sends u e_i v to u x^j e' x^k v."""
+    table = A.structure_constants()
+    dim = A.dim
+    left, right = [], []
+    for w in range(1, A.c + 1):
+        g = A.generator_index(w)
+        lcols, rcols = [dict() for _ in range(dim * dim)], \
+            [dict() for _ in range(dim * dim)]
+        for u in range(dim):
+            for v in range(dim):
+                hit = table.get((g, v))
+                if hit is not None:
+                    lcols[u + dim * v][u + dim * hit[1]] = hit[0]
+                hit = table.get((u, g))
+                if hit is not None:
+                    rcols[u + dim * v][hit[1] + dim * v] = hit[0]
+        left.append(lcols)
+        right.append(rcols)
+    return Bimodule(A, left, right, label="enveloping")
+
+
+@pytest.mark.parametrize("A", [
+    truncated_polynomial_algebra(PrimeField(2), (2, 2, 2)),
+    codim2_algebra(QQ, 2, 3, Fraction(2)),
+    codim2_algebra(PrimeField(5), 3, 2, 2),
+    exterior_algebra(QQ, 2),
+], ids=["trunc-gf2-c3", "codim2-qq-q2", "codim2-gf5-q2", "exterior-qq"])
+def test_augmented_resolution_is_exact(A):
+    """P_4 -> ... -> P_0 -> A -> 0 is exact as k-vector spaces."""
+    field = A.field
+    window = ResolutionWindow(enveloping_bimodule(A), 4)
+    assert [window.dimension(n) for n in range(1, 5)] == [0] * 4
+    # multiplication P_0 = A (x) A -> A is onto and kills the image of d_1,
+    # and coker d_1 has dimension dim A, so that image is its kernel
+    assert window.dimension(0) == A.dim
+    table = A.structure_constants()
+    for col in range(window.window.spaces[1]):
+        image = {}
+        for row in range(window.window.spaces[0]):
+            v = window.window.maps[1].entry(row, col)
+            hit = table.get((row % A.dim, row // A.dim))
+            if v != field.zero and hit is not None:
+                coeff, k = hit
+                image[k] = field.add(image.get(k, field.zero),
+                                     field.mul(v, coeff))
+        assert all(v == field.zero for v in image.values())
+
+
+def test_auto_routes_generic_c3_without_bar(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("bar complex assembled under auto")
+
+    monkeypatch.setattr(hochschild_bar, "boundary_matrix", forbidden)
+    monkeypatch.setattr(hochschild_bar, "coboundary_matrix", forbidden)
+    field = QQ
+    q = [[field.one, Fraction(2), Fraction(3, 5)],
+         [Fraction(1, 2), field.one, Fraction(-7, 3)],
+         [Fraction(5, 3), Fraction(-3, 7), field.one]]
+    A = QciAlgebra(field, (2, 2, 3), q)
+    for variant in ("homology", "cohomology"):
+        for k in (-1, 0, 1):
+            table = tate_dims(TateRequest(A, -3, 3, variant,
+                                          nakayama_power=k))
+            assert table.complete()
+            for e in table.entries:
+                if e.degree >= 1:
+                    assert e.method == "resolution"
+                elif e.method == "duality" and "degree=0;" not in e.source:
+                    assert e.source.endswith("via=resolution")
+    cohomology = tate_dims(TateRequest(A, -3, 3, "cohomology"))
+    assert cohomology.dims() == [0, 0, 0, 1, 3, 3, 1]
+
+
+def test_budget_caps_largest_resolution_space(tmp_path):
+    A = exterior_algebra(QQ, 3)
+    B = nakayama_module(A, 1)  # nu twist, so no closed form applies
+    with pytest.raises(BudgetExceeded, match="degree 3 needs 120 basis"):
+        ResolutionWindow(B, 3, budget=119)
+    table = tate_dims(TateRequest(A, 1, 4, nakayama_power=1, budget=119))
+    assert [d is None for d in table.dims()] == [False, False, True, True]
+    assert table.entry(3).source == \
+        "degree 3 needs 120 basis elements, budget is 119"
+    spec = tmp_path / "ext.json"
+    spec.write_text('{"field": {"type": "rational"}, "exponents": [2, 2, 2],'
+                    ' "q": [["1", "-1", "-1"], ["-1", "1", "-1"],'
+                    ' ["-1", "-1", "1"]]}')
+    assert main(["dims", "--spec", str(spec), "--min", "1", "--max", "4",
+                 "--coeff", "nu:1", "--budget", "119",
+                 "--out", str(tmp_path / "out.csv")]) == EXIT_BUDGET
+
+
+def test_cross_validate_dumps_both_complexes(monkeypatch, tmp_path):
+    A = codim2_algebra(PrimeField(5), 2, 2, 2)  # no formula, no delta
+    monkeypatch.setattr(ResolutionWindow, "dimension", lambda self, n: -1)
+    rep = cross_validate(TateRequest(A, 1, 1), dump_dir=str(tmp_path))
+    assert not rep["all_agree"]
+    row = rep["degrees"][0]
+    assert set(row["values"]) == {"resolution", "oracle"}
+    assert sorted(os.path.basename(path) for path in row["dumps"]) == [
+        f"degree1_{name}_map{deg}.txt"
+        for name in ("oracle", "resolution") for deg in (0, 1, 2)]
