@@ -30,8 +30,7 @@ from .closed_forms import ci_dim, codim2_cohomology_dim, exterior_dim
 from .codim2_complex import expected_kernel_dim, kernel_dims, \
     twisted_homology_dims
 from .exact_field import QQ, PrimeField
-from .hochschild_bar import BarWindowRequest, BudgetExceeded, DEFAULT_BUDGET, \
-    hh_cohomology_dims, hh_homology_dims
+from .hochschild_bar import BarWindow, BudgetExceeded, DEFAULT_BUDGET
 from .near_zero import check_exactness_claim, tate_hh0
 from .qci_algebra import QciAlgebra, codim2_algebra, dual_bimodule, \
     exterior_algebra, truncated_polynomial_algebra
@@ -174,12 +173,8 @@ def _cmd_dims(args):
 def _cmd_oracle(args):
     algebra = _load_spec(args.spec)
     k = _parse_coeff(args.coeff)
-    req = BarWindowRequest(nakayama_module(algebra, k), args.max,
-                           args.variant, args.budget)
-    if args.variant == "homology":
-        dims = hh_homology_dims(req)
-    else:
-        dims = hh_cohomology_dims(req)
+    dims = BarWindow(nakayama_module(algebra, k), args.max, args.variant,
+                     args.budget).dimensions()
     entries = [TableEntry(n, dims[n], "oracle", coefficient_name(k))
                for n in range(args.max + 1)]
     if args.format == "csv":
@@ -230,13 +225,6 @@ def _guarded(checks, label, fn):
         checks.append({"check": label, "error": str(exc), "pass": False})
 
 
-def _bar_dims(A, k, direction, n_max, budget):
-    req = BarWindowRequest(nakayama_module(A, k), n_max, direction, budget)
-    if direction == "homology":
-        return hh_homology_dims(req)
-    return hh_cohomology_dims(req)
-
-
 def _suite_ci(max_degree, budget):
     checks = []
     for field, label in ((QQ, "QQ"), (PrimeField(2), "GF(2)")):
@@ -247,7 +235,8 @@ def _suite_ci(max_degree, budget):
             rows = [_check(f"ci {label} degree 0 zeromaps vs formula",
                            tate_hh0(A, A.identity_twist()),
                            ci_dim(2, 2, p, 0))]
-            dims = _bar_dims(A, 0, "homology", max_degree, budget)
+            dims = BarWindow(nakayama_module(A, 0), max_degree, "homology",
+                             budget).dimensions()
             rows.extend(
                 _check(f"ci {label} degree {n} oracle vs formula",
                        dims[n], ci_dim(2, 2, p, n))
@@ -270,7 +259,8 @@ def _suite_exterior(max_degree, budget):
                 rows = [_check(
                     f"exterior c={c} {label} degree 0 zeromaps vs formula",
                     tate_hh0(A, A.identity_twist()), exterior_dim(c, p, 0))]
-                dims = _bar_dims(A, 0, "homology", max_degree, budget)
+                dims = BarWindow(nakayama_module(A, 0), max_degree,
+                                 "homology", budget).dimensions()
                 rows.extend(_check(
                     f"exterior c={c} {label} degree {n} oracle vs formula",
                     dims[n], exterior_dim(c, p, n))
@@ -318,14 +308,28 @@ def _suite_codim2(max_degree, budget):
             rows.append(_check(
                 f"codim2 ({a},{b}) homology table q=2 constant",
                 hom.dims(), [a + b - 2] * (2 * max_degree + 1)))
-            bar = _bar_dims(A, 0, "homology", min(max_degree, 3), budget)
+            bar = BarWindow(nakayama_module(A, 0), min(max_degree, 3),
+                            "homology", budget).dimensions()
             rows.append(_check(
                 f"codim2 ({a},{b}) homology degrees 1..{min(max_degree, 3)} "
                 "oracle vs formula",
                 bar[1:], [a + b - 2] * min(max_degree, 3)))
+            delta = twisted_homology_dims(A, max_degree + 1)
             rows.append(_check(
                 f"codim2 ({a},{b}) twisted homology vanishes to {max_degree}",
-                twisted_homology_dims(A, max_degree + 1), [0] * max_degree))
+                delta, [0] * max_degree))
+            # a request window is never empty, so --max 0 reads degree 1
+            # and compares no entry
+            nu = tate_dims(TateRequest(A, 1, max(max_degree, 1), "homology",
+                                       nakayama_power=-1, budget=budget))
+            for e in nu.entries:
+                if e.dimension is None:  # budget-capped, reported as _guarded
+                    return [{"check": f"codim2 ({a},{b})",
+                             "error": e.source, "pass": False}]
+            rows.append(_check(
+                f"codim2 ({a},{b}) nu^-1 homology degrees 1..{max_degree} "
+                "resolution vs delta complex",
+                nu.dims()[:max_degree], delta))
             rows.append(_check(
                 f"codim2 ({a},{b}) kernel dimensions to {max_degree + 1}",
                 kernel_dims(A, max_degree + 1),
@@ -369,11 +373,9 @@ def _suite_duality(max_degree, budget):
 
             def unit(A=A, k=k, label=label):
                 B = nakayama_module(A, k)
-                co = hh_cohomology_dims(
-                    BarWindowRequest(B, upto, "cohomology", budget))
-                ho = hh_homology_dims(
-                    BarWindowRequest(dual_bimodule(B), upto, "homology",
-                                     budget))
+                co = BarWindow(B, upto, "cohomology", budget).dimensions()
+                ho = BarWindow(dual_bimodule(B), upto, "homology",
+                               budget).dimensions()
                 return [_check(
                     f"duality {label} coeff {coefficient_name(k)} "
                     f"cohomology vs dual homology to {upto}", co, ho)]

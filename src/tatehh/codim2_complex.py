@@ -20,6 +20,10 @@ the construction-time composition check enforces this choice.
 
 Everything here refuses prime fields and rational roots of unity: the
 hypotheses require a commutation scalar of infinite order.
+
+No table entry is computed here: the twisted-tensor resolution serves these
+degrees, and this complex is the independent reference that checks it (the
+verify codim2 suite and the tests).
 """
 
 from .exact_field import scalar_pow

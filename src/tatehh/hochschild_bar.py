@@ -16,6 +16,10 @@ and the coboundary of f takes lambda_1 ... lambda_{n+1} to
 
 Space sizes grow as (dim B) (dim A)^n, so requests carry an element budget;
 exceeding it raises BudgetExceeded naming the first unaffordable degree.
+
+HochschildWindow is the window builder shared with twisted_resolution: the
+budget check and the degree layout live there, and each complex supplies
+only its chain-space sizes and its differential.
 """
 
 from dataclasses import dataclass
@@ -61,12 +65,59 @@ class BarWindowRequest:
         return self.coefficients.algebra
 
 
-def _check_budget(B, n_max, budget):
-    dim_a = B.algebra.dim
-    for n in range(n_max + 1):
-        needed = B.dim * dim_a ** (n + 1)
-        if needed > budget:
-            raise BudgetExceeded(n, needed, budget)
+class HochschildWindow:
+    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from one complex.
+
+    A subclass supplies ``space_dim(A, dim_b, n)``, the size of degree n of
+    its (co)chain space, and ``differential(n)``: the boundary from degree n
+    to n - 1 in homology (n >= 1), the coboundary from degree n to n + 1 in
+    cohomology (n >= 0).  Degree n reads the space of degree n + 1, so the
+    budget caps those sizes up to n_max + 1.  Cohomology is stored relabelled
+    into homological convention: cochain degree n sits at chain degree
+    (n_max + 1) - n of ``window``, so the composition-zero check of
+    ChainComplexWindow applies verbatim and every degree 0..n_max is
+    interior.
+    """
+
+    def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
+        if budget < 1:
+            raise ValueError("budget must be positive")
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        if variant not in ("homology", "cohomology"):
+            raise ValueError(f"unknown variant {variant!r}")
+        self.B = B
+        self.n_max = n_max
+        self.variant = variant
+        sizes = [self.space_dim(B.algebra, B.dim, n) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            if sizes[n + 1] > budget:
+                raise BudgetExceeded(n, sizes[n + 1], budget)
+        spaces = {self.position(n): size for n, size in enumerate(sizes)}
+        spaces[self.position(-1)] = 0
+        if variant == "homology":
+            maps = {n: self.differential(n) for n in range(1, n_max + 2)}
+            maps[0] = SparseMatrix(B.field, 0, sizes[0])
+        else:
+            maps = {self.position(n): self.differential(n)
+                    for n in range(n_max + 1)}
+            maps[self.position(-1)] = SparseMatrix(B.field, sizes[0], 0)
+        self.window = ChainComplexWindow(sorted(spaces, reverse=True),
+                                         spaces, maps)
+
+    def position(self, n):
+        """The chain degree of ``window`` holding degree n."""
+        return n if self.variant == "homology" else self.n_max + 1 - n
+
+    def dimension(self, n):
+        """dim HH_n (homology) or HH^n (cohomology), 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"degree {n} outside window [0, {self.n_max}]")
+        return self.window.homology_dim(self.position(n))
+
+    def dimensions(self):
+        """[dimension(n) for n = 0..n_max]."""
+        return [self.dimension(n) for n in range(self.n_max + 1)]
 
 
 def _tuple_index_decode(idx, dim_a, n):
@@ -175,57 +226,30 @@ def coboundary_matrix(B, n):
                                   dim_b * dim_a ** n, entries)
 
 
-def homology_window(B, n_max, budget=DEFAULT_BUDGET):
-    """ChainComplexWindow whose interior degrees 0..n_max give HH_n(A, B)."""
-    _check_budget(B, n_max, budget)
-    A = B.algebra
-    degrees = list(range(n_max + 1, -2, -1))
-    spaces = {n: B.dim * A.dim ** n for n in range(n_max + 2)}
-    spaces[-1] = 0
-    maps = {n: boundary_matrix(B, n) for n in range(1, n_max + 2)}
-    maps[0] = SparseMatrix(B.field, 0, spaces[0], [])
-    return ChainComplexWindow(degrees, spaces, maps)
+class BarWindow(HochschildWindow):
+    """The bar complexes, (dim B)(dim A)^n coordinates in degree n."""
 
+    @staticmethod
+    def space_dim(A, dim_b, n):
+        return dim_b * A.dim ** n
 
-class CohomologyWindow:
-    """Cochain window relabeled into homological convention.
-
-    Cochain degree n is stored at chain degree (n_max + 1) - n, so the
-    composition-zero check of ChainComplexWindow applies verbatim and every
-    requested cohomological degree 0..n_max is interior.
-    """
-
-    def __init__(self, B, n_max, budget=DEFAULT_BUDGET):
-        _check_budget(B, n_max, budget)
-        A = B.algebra
-        self.n_max = n_max
-        hi = n_max + 2
-        degrees = list(range(hi, -1, -1))
-        spaces = {hi: 0}
-        for n in range(n_max + 2):
-            spaces[hi - 1 - n] = B.dim * A.dim ** n
-        maps = {hi: SparseMatrix(B.field, spaces[hi - 1], 0, [])}
-        for n in range(n_max + 1):
-            maps[hi - 1 - n] = coboundary_matrix(B, n)
-        self.window = ChainComplexWindow(degrees, spaces, maps)
-
-    def cohomology_dim(self, n):
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"cohomological degree {n} outside window")
-        return self.window.homology_dim(self.n_max + 1 - n)
+    def differential(self, n):
+        if self.variant == "homology":
+            return boundary_matrix(self.B, n)
+        return coboundary_matrix(self.B, n)
 
 
 def hh_homology_dims(req):
     """Hochschild homology dimensions for degrees 0..n_max."""
     if req.direction != "homology":
         raise ValueError("request direction must be homology")
-    window = homology_window(req.coefficients, req.n_max, req.budget)
-    return [window.homology_dim(n) for n in range(req.n_max + 1)]
+    return BarWindow(req.coefficients, req.n_max, "homology",
+                     req.budget).dimensions()
 
 
 def hh_cohomology_dims(req):
     """Hochschild cohomology dimensions for degrees 0..n_max."""
     if req.direction != "cohomology":
         raise ValueError("request direction must be cohomology")
-    window = CohomologyWindow(req.coefficients, req.n_max, req.budget)
-    return [window.cohomology_dim(n) for n in range(req.n_max + 1)]
+    return BarWindow(req.coefficients, req.n_max, "cohomology",
+                     req.budget).dimensions()

@@ -8,8 +8,6 @@ Each degree is routed to one terminal computation:
   formula    a closed-form theorem whose hypotheses the algebra satisfies,
              valid on the whole integer line (the published statements carry
              their own degree reflection);
-  delta      the explicit two-generator complex, for positive degrees of the
-             inverse-Nakayama twist at a generic commutation scalar;
   zeromaps   the three-term window around degree zero, for degree-0 homology
              of any diagonal twist;
   resolution the twisted-tensor bimodule resolution, for positive degrees of
@@ -18,6 +16,10 @@ Each degree is routed to one terminal computation:
              element budget; only the bar_only policy routes to it, so it
              stays an independent check (cross_validate, the oracle command
              and the verify suites).
+
+The paper's explicit two-generator complex (codim2_complex.DeltaComplex)
+is no route: it checks the resolution's inverse-Nakayama homology in the
+verify codim2 suite and in the tests.
 
 Degrees with no direct terminal reduce through exactly one duality hop and
 never two: negative homology of the k-th twist equals degree -n-1 homology
@@ -36,19 +38,21 @@ from dataclasses import dataclass
 
 from .closed_forms import ci_dim, codim2_cohomology_dim, codim2_homology_dim, \
     exterior_dim
-from .codim2_complex import DeltaComplex
-from .hochschild_bar import DEFAULT_BUDGET, CohomologyWindow, homology_window
+from .hochschild_bar import DEFAULT_BUDGET, BarWindow
 from .near_zero import tate_hh0
 from .qci_algebra import dual_bimodule, mat_apply, twisted_bimodule
 from .sparse_linalg import SparseMatrix
-from .twisted_resolution import ResolutionWindow, chain_space_dim
+from .twisted_resolution import ResolutionWindow
 
 _POLICIES = {
-    "auto": ("formula", "delta", "zeromaps", "resolution"),
+    "auto": ("formula", "zeromaps", "resolution"),
     "formula_only": ("formula",),
-    "complex_only": ("delta", "zeromaps", "resolution"),
+    "complex_only": ("zeromaps", "resolution"),
     "bar_only": ("oracle",),
 }
+
+# the window terminals and the complexes they read
+_WINDOWS = {"resolution": ResolutionWindow, "oracle": BarWindow}
 
 VARIANTS = ("homology", "cohomology")
 
@@ -224,16 +228,19 @@ def recognize_nakayama_power(A, M, expected_first=0, span=3):
 
 
 class _Session:
-    """One tate_dims evaluation: plans routes, then shares heavy objects."""
+    """One tate_dims evaluation: plans routes, then shares heavy objects.
 
-    def __init__(self, req):
+    ``terminals`` narrows the evaluation to those terminals instead of the
+    request's policy; cross_validate runs one session per terminal.
+    """
+
+    def __init__(self, req, terminals=None):
         self.req = req
         self.A = req.algebra
-        self.terminals = _POLICIES[req.method]
-        self._delta = None
-        self._delta_top = 0
-        self._windows = {}
-        self._window_tops = {}
+        self.terminals = _POLICIES[req.method] if terminals is None \
+            else terminals
+        self.plans = {}
+        self.windows = {}
         self._recognized = {}
 
     # ---- reductions -------------------------------------------------
@@ -252,23 +259,6 @@ class _Session:
 
     # ---- terminal applicability ------------------------------------
 
-    def _delta_applicable(self, variant, d, j):
-        if variant != "homology" or d < 1 or j != -1 or self.A.c != 2:
-            return False
-        if self.req.method == "complex_only":
-            # let construction raise the hypothesis error explicitly
-            return True
-        return _is_generic_codim2(self.A)
-
-    def _needed(self, terminal, d):
-        """Size of the largest chain space a degree-d window reads."""
-        if terminal == "oracle":
-            return self.A.dim ** (d + 2)
-        return chain_space_dim(self.A.c, self.A.dim, d + 1)
-
-    def _feasible(self, terminal, d):
-        return d >= 1 and self._needed(terminal, d) <= self.req.budget
-
     def _plan_terminal(self, variant, d, j):
         """(terminal name, None) or (None, unavailable reason)."""
         for name in self.terminals:
@@ -276,57 +266,26 @@ class _Session:
                 if j is not None and \
                         _formula_dim(self.A, variant, d, j) is not None:
                     return name, None
-            elif name == "delta":
-                if j is not None and self._delta_applicable(variant, d, j):
-                    return name, None
             elif name == "zeromaps":
                 if variant == "homology" and d == 0:
                     return name, None
-            elif d >= 1:  # "resolution" or "oracle"
-                if self._feasible(name, d):
+            elif d >= 1:  # a window terminal
+                # degree d reads the chain space of degree d + 1
+                needed = _WINDOWS[name].space_dim(self.A, self.A.dim, d + 1)
+                if needed <= self.req.budget:
                     return name, None
-                return None, (f"degree {d} needs {self._needed(name, d)} "
+                return None, (f"degree {d} needs {needed} "
                               f"basis elements, budget is {self.req.budget}")
         return None, f"no route under policy {self.req.method}"
-
-    # ---- shared heavy objects ---------------------------------------
-
-    def _note_need(self, terminal, variant, d, j):
-        if terminal == "delta":
-            self._delta_top = max(self._delta_top, d + 1)
-        elif terminal in ("resolution", "oracle"):
-            key = (terminal, variant, j)
-            self._window_tops[key] = max(self._window_tops.get(key, 0), d)
-
-    def _open_window(self, terminal, variant, j, top):
-        """A reader d -> dimension for the degrees up to top of one window."""
-        B = nakayama_module(self.A, j)
-        budget = self.req.budget
-        if terminal == "resolution":
-            return ResolutionWindow(B, top, variant, budget).dimension
-        if variant == "homology":
-            return homology_window(B, top, budget).homology_dim
-        return CohomologyWindow(B, top, budget).cohomology_dim
-
-    def _build_shared(self):
-        if self._delta_top:
-            self._delta = DeltaComplex(self.A, self._delta_top)
-        for key, top in sorted(self._window_tops.items()):
-            self._windows[key] = self._open_window(*key, top)
 
     # ---- evaluation --------------------------------------------------
 
     def _evaluate(self, terminal, variant, d, j):
         if terminal == "formula":
             return _formula_dim(self.A, variant, d, j)
-        if terminal == "delta":
-            if self._delta is None or self._delta_top < d + 1:
-                self._delta = DeltaComplex(self.A, d + 1)
-                self._delta_top = d + 1
-            return self._delta.homology_dim(d)
         if terminal == "zeromaps":
             return tate_hh0(self.A, self.A.nakayama(j))
-        return self._windows[(terminal, variant, j)](d)
+        return self.windows[(terminal, variant, j)].dimension(d)
 
     def _recognize_dual(self, k):
         if k not in self._recognized:
@@ -338,6 +297,7 @@ class _Session:
     def run(self):
         plans = {}
         dual_pending = []
+        tops = {}  # (terminal, variant, j) -> top degree of a shared window
         for n in self.req.degrees:
             if "formula" in self.terminals and \
                     _formula_dim(self.A, self.req.variant, n,
@@ -353,8 +313,9 @@ class _Session:
             terminal, reason = self._plan_terminal(variant, d, j)
             plans[n] = (hop, variant, d, j, terminal) if terminal else \
                 ("unavailable", variant, d, j, reason)
-            if terminal:
-                self._note_need(terminal, variant, d, j)
+            if terminal in _WINDOWS:
+                key = (terminal, variant, j)
+                tops[key] = max(tops.get(key, 0), d)
         # dual recognition shifts the source coefficient, so resolve the
         # degree-0 cohomology plans before building shared windows
         for n in dual_pending:
@@ -370,7 +331,11 @@ class _Session:
             terminal, reason = self._plan_terminal("homology", 0, j)
             plans[n] = ("dual", "homology", 0, j, terminal) if terminal \
                 else ("unavailable", "homology", 0, j, reason)
-        self._build_shared()
+        for key, top in sorted(tops.items()):
+            terminal, variant, j = key
+            self.windows[key] = _WINDOWS[terminal](
+                nakayama_module(self.A, j), top, variant, self.req.budget)
+        self.plans = plans
 
         entries = []
         for n in self.req.degrees:
@@ -393,70 +358,52 @@ def tate_dims(req):
 
 
 def cross_validate(req, dump_dir=None):
-    """Compute every applicable terminal per degree and diff the answers.
+    """Evaluate the request once per terminal and diff the answers.
 
     Returns {"degrees": [...], "all_agree": bool}; each degree reports the
-    value under every terminal that applies to its (reduced) source.  On
-    disagreement the involved matrices are dumped under dump_dir (when
-    given) and the paths are listed.
+    value of every terminal that serves it, keyed by the terminal's name,
+    or "duality:name" when the value comes through a duality hop.  On
+    disagreement the maps of the resolution and oracle windows around that
+    degree are dumped under dump_dir (when given) and the paths are listed.
     """
-    session = _Session(req)
+    sessions = {name: _Session(req, terminals=(name,))
+                for name in ("formula", "zeromaps", "resolution", "oracle")}
+    tables = {name: session.run() for name, session in sessions.items()}
     report = []
     for n in req.degrees:
-        variant, d, j, hop = session._source(n)
-        if hop == "dual":
-            j = session._recognize_dual(req.nakayama_power)
-            if j is None:
-                report.append({"degree": n, "values": {},
-                               "agree": True, "note": "dual not recognised"})
-                continue
         values = {}
-        prefix = "" if hop is None else "duality:"
-        if _formula_dim(session.A, variant, d, j) is not None:
-            values[prefix + "formula"] = _formula_dim(session.A, variant, d, j)
-        if hop is not None:
-            direct = _formula_dim(session.A, req.variant, n,
-                                  req.nakayama_power)
-            if direct is not None:
-                values["formula"] = direct
-        if session._delta_applicable(variant, d, j) and \
-                _is_generic_codim2(session.A):
-            complex_ = DeltaComplex(session.A, d + 1)
-            values[prefix + "delta"] = complex_.homology_dim(d)
-        if variant == "homology" and d == 0:
-            values[prefix + "zeromaps"] = tate_hh0(session.A,
-                                                   session.A.nakayama(j))
-        for name in ("resolution", "oracle"):
-            if session._feasible(name, d):
-                values[prefix + name] = \
-                    session._open_window(name, variant, j, d)(d)
-        distinct = {v for v in values.values()}
-        row = {"degree": n, "values": values, "agree": len(distinct) <= 1}
+        for name, table in tables.items():
+            entry = table.entry(n)
+            if entry.dimension is not None:
+                prefix = "duality:" if entry.method == "duality" else ""
+                values[prefix + name] = entry.dimension
+        row = {"degree": n, "values": values,
+               "agree": len(set(values.values())) <= 1}
         if not row["agree"] and dump_dir is not None:
-            row["dumps"] = _dump_disagreement(session, variant, d, j,
-                                              n, dump_dir)
+            row["dumps"] = _dump_disagreement(sessions, n, dump_dir)
         report.append(row)
     return {"degrees": report, "all_agree": all(r["agree"] for r in report)}
 
 
-def _dump_disagreement(session, variant, d, j, degree, dump_dir):
+def _dump_disagreement(sessions, degree, dump_dir):
+    """Write the maps between degrees -1 and d + 1 of each window that
+    serves degree d (the source degree of ``degree``), one file per map,
+    named by its chain degree in the window."""
     import os
 
     os.makedirs(dump_dir, exist_ok=True)
     paths = []
-    B = nakayama_module(session.A, j)
-    budget = session.req.budget
-    windows = {}
-    if session._feasible("resolution", d):
-        windows["resolution"] = ResolutionWindow(B, d, variant, budget).window
-    if session._feasible("oracle", d):
-        windows["oracle"] = homology_window(B, d, budget) \
-            if variant == "homology" else CohomologyWindow(B, d, budget).window
-    for name, win in windows.items():
-        for deg, mat in sorted(win.maps.items()):
+    for name in _WINDOWS:
+        session = sessions[name]
+        _, variant, d, j, _ = session.plans[degree]
+        win = session.windows.get((name, variant, j))
+        if win is None or not 1 <= d <= win.n_max:
+            continue
+        lo, hi = sorted((win.position(-1), win.position(d + 1)))
+        for deg in range(lo + 1, hi + 1):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(mat.dump_coordinates())
+                fh.write(win.window.maps[deg].dump_coordinates())
             paths.append(path)
     return paths

@@ -25,12 +25,13 @@ composition-zero is re-checked at construction; the twisting scalars are
 further pinned against the bar complex and DeltaComplex in the tests.
 """
 
+from functools import cached_property
 from math import comb
 
 from .exact_field import scalar_pow
-from .hochschild_bar import DEFAULT_BUDGET, BudgetExceeded
+from .hochschild_bar import HochschildWindow
 from .qci_algebra import mat_identity, mat_mul
-from .sparse_linalg import ChainComplexWindow, SparseMatrix
+from .sparse_linalg import SparseMatrix
 
 
 def generators(c, n):
@@ -44,14 +45,6 @@ def generators(c, n):
 def chain_space_dim(c, dim_b, n):
     """binom(n+c-1, c-1) dim B, the size of degree n of either complex."""
     return comb(n + c - 1, c - 1) * dim_b
-
-
-def _check_budget(B, n_max, budget):
-    # degree n reads the chain space of degree n + 1
-    for n in range(n_max + 1):
-        needed = chain_space_dim(B.algebra.c, B.dim, n + 1)
-        if needed > budget:
-            raise BudgetExceeded(n, needed, budget)
 
 
 def _sandwiches(B):
@@ -125,45 +118,16 @@ def _differential(B, n, variant, sandwiches):
     return SparseMatrix(B.field, *shape, entries)
 
 
-class ResolutionWindow:
-    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from the resolution.
+class ResolutionWindow(HochschildWindow):
+    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from the resolution."""
 
-    Cohomology is stored relabelled as in hochschild_bar.CohomologyWindow:
-    cochain degree n sits at chain degree (n_max + 1) - n.
-    """
+    @staticmethod
+    def space_dim(A, dim_b, n):
+        return chain_space_dim(A.c, dim_b, n)
 
-    def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if variant not in ("homology", "cohomology"):
-            raise ValueError(f"unknown variant {variant!r}")
-        _check_budget(B, n_max, budget)
-        self.n_max = n_max
-        self.variant = variant
-        sandwiches = _sandwiches(B)
-        sizes = [chain_space_dim(B.algebra.c, B.dim, n)
-                 for n in range(n_max + 2)]
-        if variant == "homology":
-            degrees = list(range(n_max + 1, -2, -1))
-            spaces = dict(enumerate(sizes))
-            spaces[-1] = 0
-            maps = {n: _differential(B, n, variant, sandwiches)
-                    for n in range(1, n_max + 2)}
-            maps[0] = SparseMatrix(B.field, 0, sizes[0])
-        else:
-            hi = n_max + 2
-            degrees = list(range(hi, -1, -1))
-            spaces = {hi - 1 - n: size for n, size in enumerate(sizes)}
-            spaces[hi] = 0
-            maps = {hi - 1 - n: _differential(B, n, variant, sandwiches)
-                    for n in range(n_max + 1)}
-            maps[hi] = SparseMatrix(B.field, sizes[0], 0)
-        self.window = ChainComplexWindow(degrees, spaces, maps)
+    @cached_property
+    def sandwiches(self):
+        return _sandwiches(self.B)
 
-    def dimension(self, n):
-        """dim HH_n (homology) or HH^n (cohomology), 0 <= n <= n_max."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"degree {n} outside window [0, {self.n_max}]")
-        if self.variant == "homology":
-            return self.window.homology_dim(n)
-        return self.window.homology_dim(self.n_max + 1 - n)
+    def differential(self, n):
+        return _differential(self.B, n, self.variant, self.sandwiches)

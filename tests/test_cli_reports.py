@@ -219,7 +219,7 @@ class TestDimsCommand:
                      "2", "--coeff", "nu:-1"]) == EXIT_OK
         entries = table_from_csv(capsys.readouterr().out)
         assert [e.dimension for e in entries] == [0, 0]
-        assert {e.method for e in entries} == {"delta"}
+        assert {e.method for e in entries} == {"resolution"}
 
 
 class TestOracleCommand:
@@ -245,6 +245,12 @@ class TestOracleCommand:
         assert main(["oracle", "--spec", codim2_path, "--max", "5",
                      "--budget", "100"]) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
+
+    def test_non_positive_budget_is_usage_error(self, codim2_path, capsys):
+        for budget in ("0", "-3"):
+            assert main(["oracle", "--spec", codim2_path, "--max", "1",
+                         "--budget", budget]) == EXIT_USAGE
+            assert "budget must be positive" in capsys.readouterr().err
 
 
 class TestExactnessCommand:
@@ -297,6 +303,12 @@ class TestVerify:
         assert main(["verify", "--suite", "ci", "--max", "2",
                      "--budget", "50"]) == EXIT_BUDGET
         capsys.readouterr()
+
+    def test_cli_non_positive_budget_is_usage_error(self, capsys):
+        for suite in ("ci", "codim2"):
+            assert main(["verify", "--suite", suite, "--max", "1",
+                         "--budget", "0"]) == EXIT_USAGE
+            assert "budget must be positive" in capsys.readouterr().err
 
     def test_mismatch_exit_code_contract(self):
         # a fabricated failing row drives the exit logic, not real math

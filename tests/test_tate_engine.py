@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tatehh import (
     QQ,
@@ -28,7 +29,7 @@ from tatehh.tate_engine import (
 
 from oracles import cols_to_rows, dense_rank, intertwiner_space_dim
 
-TERMINALS = ("formula", "delta", "zeromaps", "resolution", "oracle")
+TERMINALS = ("formula", "zeromaps", "resolution", "oracle")
 
 
 def codim2_q2():
@@ -89,7 +90,7 @@ class TestPublishedTables:
                                       method="complex_only"))
         assert table.dims() == [0, 0, 0, 0]
         vias = [e.source.split("via=")[1] for e in table.entries]
-        assert vias == ["delta", "delta", "delta", "zeromaps"]
+        assert vias == ["resolution", "resolution", "resolution", "zeromaps"]
 
     def test_twisted_negative_homology(self):
         # degrees -2, -1 of the nu twist reduce to the nu^{-1} sources
@@ -97,7 +98,7 @@ class TestPublishedTables:
                                       nakayama_power=1))
         assert table.dims() == [0, 0]
         assert [e.source for e in table.entries] == [
-            "degree=1; coeff=nu^-1; via=delta",
+            "degree=1; coeff=nu^-1; via=resolution",
             "degree=0; coeff=nu^-1; via=zeromaps",
         ]
 
@@ -130,11 +131,18 @@ class TestPolicies:
         assert table.dims() == [2, 2, 2, 2]
         assert all(e.method == "formula" for e in table.entries)
 
-    def test_delta_hypothesis_error_surfaces_under_complex_only(self):
+    def test_complex_only_serves_root_of_unity_from_resolution(self):
+        # q = 2 has order 4 in GF(5), outside the two-generator complex's
+        # hypotheses; the resolution serves every twist
         A = codim2_algebra(PrimeField(5), 2, 2, 2)
-        with pytest.raises(ValueError, match="root of unity"):
-            tate_dims(TateRequest(A, 1, 2, "homology", nakayama_power=-1,
-                                  method="complex_only"))
+        tables = {method: tate_dims(TateRequest(A, 1, 3, "homology",
+                                                nakayama_power=-1,
+                                                method=method))
+                  for method in ("complex_only", "bar_only")}
+        assert tables["complex_only"].complete()
+        assert tables["complex_only"].dims() == tables["bar_only"].dims()
+        assert {e.method for e in tables["complex_only"].entries} == \
+            {"resolution"}
 
 
 class TestProvenance:
@@ -301,8 +309,7 @@ class TestCrossValidate:
         by_degree = {r["degree"]: r["values"] for r in rep["degrees"]}
         assert by_degree[1] == {"formula": 2, "oracle": 2, "resolution": 2}
         assert by_degree[-2] == \
-            {"formula": 0, "duality:delta": 0, "duality:oracle": 0,
-             "duality:resolution": 0}
+            {"formula": 0, "duality:oracle": 0, "duality:resolution": 0}
         assert by_degree[0] == {"formula": 1, "duality:zeromaps": 1}
 
     def test_commutative_ci_values(self):
@@ -316,3 +323,41 @@ class TestCrossValidate:
         A = exterior_algebra(PrimeField(2), 2)
         rep = cross_validate(TateRequest(A, 0, 0, "homology"))
         assert rep["degrees"][0]["values"] == {"formula": 4, "zeromaps": 4}
+
+
+# every shape with c <= 3 and dim <= 6 (c = 3 starts at dim 8)
+SMALL_SHAPES = [(a,) for a in range(2, 7)] + [(2, 2), (2, 3), (3, 2)]
+SMALL_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5),
+                PrimeField(7)]
+# q = +-1 included, so closed forms apply to some draws
+SMALL_QQ_UNITS = [Fraction(v) for v in (1, -1, 2, -3)] + \
+    [Fraction(1, 2), Fraction(-3, 5)]
+
+
+@st.composite
+def small_qcis(draw):
+    field = draw(st.sampled_from(SMALL_FIELDS))
+    exponents = draw(st.sampled_from(SMALL_SHAPES))
+    c = len(exponents)
+    units = st.sampled_from(SMALL_QQ_UNITS) if field.characteristic == 0 \
+        else st.integers(1, field.characteristic - 1)
+    q = [[field.one] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i + 1, c):
+            q[i][j] = draw(units)
+            q[j][i] = field.inv(q[i][j])
+    return QciAlgebra(field, exponents, q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(small_qcis(), st.integers(-2, 2),
+       st.sampled_from(("homology", "cohomology")))
+def test_property_cross_validate_routes_agree(A, k, variant):
+    rep = cross_validate(TateRequest(A, -2, 2, variant, nakayama_power=k))
+    assert rep["all_agree"], rep
+    for row in rep["degrees"]:
+        n = row["degree"]
+        if n >= 1 or n <= -2:  # the source degree is at least 1
+            prefix = "" if n >= 1 else "duality:"
+            assert {prefix + "resolution", prefix + "oracle"} <= \
+                set(row["values"]), row

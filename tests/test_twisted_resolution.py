@@ -11,8 +11,7 @@ from tatehh import QQ, PrimeField, codim2_algebra, exterior_algebra, \
 from tatehh import hochschild_bar
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
-from tatehh.hochschild_bar import BudgetExceeded, CohomologyWindow, \
-    homology_window
+from tatehh.hochschild_bar import BarWindow, BudgetExceeded
 from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.tate_engine import TateRequest, cross_validate, \
     nakayama_module, tate_dims
@@ -50,12 +49,12 @@ def test_property_matches_bar_oracle(A, k):
     top = 3 if A.dim <= 6 else 2
     homology = ResolutionWindow(B, top, "homology")
     cohomology = ResolutionWindow(B, top, "cohomology")
-    bar_homology = homology_window(B, top)
-    bar_cohomology = CohomologyWindow(B, top)
+    bar_homology = BarWindow(B, top, "homology")
+    bar_cohomology = BarWindow(B, top, "cohomology")
     assert [homology.dimension(n) for n in range(top + 1)] == \
-        [bar_homology.homology_dim(n) for n in range(top + 1)]
+        [bar_homology.dimension(n) for n in range(top + 1)]
     assert [cohomology.dimension(n) for n in range(top + 1)] == \
-        [bar_cohomology.cohomology_dim(n) for n in range(top + 1)]
+        [bar_cohomology.dimension(n) for n in range(top + 1)]
 
 
 def test_generators_and_space_sizes():
@@ -184,3 +183,20 @@ def test_cross_validate_dumps_both_complexes(monkeypatch, tmp_path):
     assert sorted(os.path.basename(path) for path in row["dumps"]) == [
         f"degree1_{name}_map{deg}.txt"
         for name in ("oracle", "resolution") for deg in (0, 1, 2)]
+
+
+def test_cross_validate_dumps_cohomology_maps_around_degree(monkeypatch,
+                                                            tmp_path):
+    # both degrees share one window of top 2, where cochain degree n sits
+    # at chain degree 3 - n; degree d reads the maps between -1 and d + 1
+    A = codim2_algebra(PrimeField(5), 2, 2, 2)
+    monkeypatch.setattr(ResolutionWindow, "dimension", lambda self, n: -1)
+    rep = cross_validate(TateRequest(A, 1, 2, "cohomology"),
+                         dump_dir=str(tmp_path))
+    dumps = {row["degree"]: sorted(os.path.basename(path)
+                                   for path in row["dumps"])
+             for row in rep["degrees"]}
+    assert dumps == {
+        d: [f"degree{d}_{name}_map{deg}.txt"
+            for name in ("oracle", "resolution") for deg in range(3 - d, 5)]
+        for d in (1, 2)}
