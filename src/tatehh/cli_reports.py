@@ -13,9 +13,11 @@ Algebra spec files are JSON: {"field": {"type": "rational"} or
 {"type": "prime", "p": N}, "exponents": [a1, ...], "q": c x c matrix of
 scalar strings, optional "c"}.  Scalars are strings end to end; floats are
 rejected.  Exit codes: 0 success, 1 assertion mismatch, 2 usage or
-validation error, 3 resource budget exhausted.  A dims table containing
-budget-capped entries exits 3 (the table is still printed); entries a
-restrictive method policy cannot serve are an answered request and exit 0.
+validation error (a budget below 1 included), 3 resource budget exhausted
+(an algebra with more basis elements than the budget included).  A dims
+table containing budget-capped entries exits 3 (the table is still
+printed); entries a restrictive method policy cannot serve are an answered
+request and exit 0.
 Output bytes are deterministic for a fixed configuration: suite families
 are fixed lists, the one randomized family is seeded, and all orderings
 are explicit.
@@ -24,6 +26,7 @@ are explicit.
 import argparse
 import json
 import sys
+from math import prod
 from random import Random
 
 from .closed_forms import ci_dim, codim2_cohomology_dim, exterior_dim
@@ -34,9 +37,10 @@ from .hochschild_bar import BarWindow, BudgetExceeded, DEFAULT_BUDGET
 from .near_zero import check_exactness_claim, tate_hh0
 from .qci_algebra import QciAlgebra, codim2_algebra, dual_bimodule, \
     exterior_algebra, truncated_polynomial_algebra
-from .tate_engine import CSV_HEADER, TableEntry, TateRequest, \
+from .tate_engine import CSV_HEADER, TableEntry, TateRequest, TateWindow, \
     coefficient_name, entries_csv, entries_json_dict, nakayama_module, \
-    tate_dims
+    recognize_nakayama_power, tate_dims
+from .twisted_resolution import ResolutionWindow
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -55,8 +59,12 @@ SUITES = ("ci", "exterior", "codim2", "duality", "exactness")
 
 # ---------------------------------------------------------------- spec files
 
-def parse_spec(text):
-    """Parse a JSON algebra specification into a validated algebra."""
+def parse_spec(text, budget=DEFAULT_BUDGET):
+    """Parse a JSON algebra specification into a validated algebra.
+
+    Every route's degree-0 space has dim A = prod(exponents) coordinates, so
+    an algebra above the budget is refused before it is built.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -76,8 +84,10 @@ def parse_spec(text):
         raise ValueError(f'unknown field type {field_doc["type"]!r}')
     exponents = doc.get("exponents")
     if not isinstance(exponents, list) or \
-            not all(isinstance(a, int) for a in exponents):
-        raise ValueError('"exponents" must be a list of integers')
+            not all(isinstance(a, int) and a >= 2 for a in exponents):
+        raise ValueError('"exponents" must be a list of integers >= 2')
+    if prod(exponents) > budget:
+        raise BudgetExceeded(0, prod(exponents), budget)
     c = doc.get("c", len(exponents))
     if not isinstance(c, int) or isinstance(c, bool):
         raise ValueError(f'"c" must be an integer, got {c!r}')
@@ -104,9 +114,9 @@ def parse_spec(text):
     return QciAlgebra(field, exponents, q)
 
 
-def _load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+def _load_spec(args):
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        return parse_spec(fh.read(), args.budget)
 
 
 def _parse_coeff(text):
@@ -153,7 +163,7 @@ def _emit(payload, out_path):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_dims(args):
-    algebra = _load_spec(args.spec)
+    algebra = _load_spec(args)
     req = TateRequest(algebra, args.min, args.max, args.variant,
                       nakayama_power=_parse_coeff(args.coeff),
                       method=_METHOD_POLICIES[args.method],
@@ -171,7 +181,7 @@ def _cmd_dims(args):
 
 
 def _cmd_oracle(args):
-    algebra = _load_spec(args.spec)
+    algebra = _load_spec(args)
     k = _parse_coeff(args.coeff)
     dims = BarWindow(nakayama_module(algebra, k), args.max, args.variant,
                      args.budget).dimensions()
@@ -189,7 +199,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_exactness(args):
-    algebra = _load_spec(args.spec)
+    algebra = _load_spec(args)
     ok = check_exactness_claim(algebra)
     report = [{"check": "near-zero sequence exact and shifted copies "
                         f"independent (dim {algebra.dim})",
@@ -376,9 +386,19 @@ def _suite_duality(max_degree, budget):
                 co = BarWindow(B, upto, "cohomology", budget).dimensions()
                 ho = BarWindow(dual_bimodule(B), upto, "homology",
                                budget).dimensions()
-                return [_check(
-                    f"duality {label} coeff {coefficient_name(k)} "
-                    f"cohomology vs dual homology to {upto}", co, ho)]
+                # degree-0 cohomology of nu^k is H_{-1}(C(k - 1)); the
+                # reference recognises the dual of nu^k as some nu^j and
+                # reads degree-0 homology of nu^j from the zeromaps window
+                spliced = TateWindow(A, k - 1, -1, -1, budget,
+                                     ResolutionWindow).homology_dim(-1)
+                j = recognize_nakayama_power(A, dual_bimodule(B), 1 - k)
+                name = f"duality {label} coeff {coefficient_name(k)}"
+                return [
+                    _check(f"{name} cohomology vs dual homology to {upto}",
+                           co, ho),
+                    _check(f"{name} degree 0 cohomology spliced complex vs "
+                           "recognised dual", spliced,
+                           None if j is None else tate_hh0(A, A.nakayama(j)))]
 
             _guarded(checks, f"duality {label} {coefficient_name(k)}", unit)
     return checks
@@ -484,6 +504,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.budget < 1:
+        print("error: budget must be positive", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -69,14 +69,15 @@ class HochschildWindow:
     """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from one complex.
 
     A subclass supplies ``space_dim(A, dim_b, n)``, the size of degree n of
-    its (co)chain space, and ``differential(n)``: the boundary from degree n
-    to n - 1 in homology (n >= 1), the coboundary from degree n to n + 1 in
-    cohomology (n >= 0).  Degree n reads the space of degree n + 1, so the
-    budget caps those sizes up to n_max + 1.  Cohomology is stored relabelled
-    into homological convention: cochain degree n sits at chain degree
-    (n_max + 1) - n of ``window``, so the composition-zero check of
-    ChainComplexWindow applies verbatim and every degree 0..n_max is
-    interior.
+    its (co)chain space, and ``differentials(B, variant)``, which returns the
+    map of degree n as a function of n: the boundary from degree n to n - 1
+    in homology (n >= 1), the coboundary from degree n to n + 1 in cohomology
+    (n >= 0); TateWindow reads the same two.  Degree n reads the space of
+    degree n + 1, so the budget caps those sizes up to n_max + 1.
+    Cohomology is stored relabelled into homological convention: cochain
+    degree n sits at chain degree (n_max + 1) - n of ``window``, so the
+    composition-zero check of ChainComplexWindow applies verbatim and every
+    degree 0..n_max is interior.
     """
 
     def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
@@ -95,11 +96,12 @@ class HochschildWindow:
                 raise BudgetExceeded(n, sizes[n + 1], budget)
         spaces = {self.position(n): size for n, size in enumerate(sizes)}
         spaces[self.position(-1)] = 0
+        differential = self.differentials(B, variant)
         if variant == "homology":
-            maps = {n: self.differential(n) for n in range(1, n_max + 2)}
+            maps = {n: differential(n) for n in range(1, n_max + 2)}
             maps[0] = SparseMatrix(B.field, 0, sizes[0])
         else:
-            maps = {self.position(n): self.differential(n)
+            maps = {self.position(n): differential(n)
                     for n in range(n_max + 1)}
             maps[self.position(-1)] = SparseMatrix(B.field, sizes[0], 0)
         self.window = ChainComplexWindow(sorted(spaces, reverse=True),
@@ -233,10 +235,11 @@ class BarWindow(HochschildWindow):
     def space_dim(A, dim_b, n):
         return dim_b * A.dim ** n
 
-    def differential(self, n):
-        if self.variant == "homology":
-            return boundary_matrix(self.B, n)
-        return coboundary_matrix(self.B, n)
+    @staticmethod
+    def differentials(B, variant):
+        if variant == "homology":
+            return lambda n: boundary_matrix(B, n)
+        return lambda n: coboundary_matrix(B, n)
 
 
 def hh_homology_dims(req):

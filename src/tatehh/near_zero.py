@@ -12,9 +12,11 @@ line, and the map f sends the w-th free generator to right multiplication by
 facts this hinges on: f followed by s is zero, and the dim A shifted copies
 (x^j (x) 1) s are linearly independent.
 
-Tensoring the segment with a one-sided diagonal twist of the algebra yields a
-three-term window whose middle homology is the degree-0 stable Hochschild
-dimension.  Its two maps are built twice, by independent routes:
+Tensoring the segment with a one-sided diagonal twist of the algebra gives
+the maps next to degree 0 of the spliced Tate complex (tate_engine's
+TateWindow): d_0 is its norm map C_0 -> C_{-1}, and the c blocks of d_1 give
+the resolution's C_1 -> C_0 (negated) and, stacked, C_{-1} -> C_{-2}.  The
+two maps are built twice, by independent routes:
 
   * literally, from the published coefficient formulas (d_1 has the single
     output coefficient alpha_w prod_{i>=w} q_wi^{u_i} - prod_{j<=w} q_jw^{u_j},
@@ -23,8 +25,9 @@ dimension.  Its two maps are built twice, by independent routes:
   * structurally, as the induced right action of 1 (x) x_w - x_w (x) 1 and of
     s on the twisted bimodule.
 
-The two routes must agree entrywise; tests enforce that, construction here
-does not collapse them.
+The windows read the literal pair, and the tests require the two routes to
+agree entrywise.  The three-term window (zeromaps_window, tate_hh0) is a
+check: the verify ci, exterior and duality suites and the tests read it.
 """
 
 from .exact_field import scalar_pow

@@ -3,55 +3,54 @@
 A request names an algebra, a finite integer degree window, a variant
 (homology or cohomology), a coefficient twist (a power of the Nakayama
 automorphism; the zeroth power is the algebra itself), and a method policy.
-Each degree is routed to one terminal computation:
+
+The groups are those of one complete resolution: a QCI is Frobenius, so the
+bimodule resolution P spliced at degree 0 to its A^e-dual is one (Buchweitz
+1986).  With B_j the j-th Nakayama twist of A, TateWindow is the complex
+
+    C_n = B_j (x)_{A^e} P_n  (n >= 0),    C_{-n-1} = Hom_{A^e}(P_n, B_{j+1}),
+
+joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix(A, nu^j).  Tate
+homology of nu^k in degree n is H_n(C(k)); Tate cohomology of nu^k in degree
+n is H_{-n-1}(C(k-1)); this holds for every integer n.  Each degree is
+routed to one terminal:
 
   formula    a closed-form theorem whose hypotheses the algebra satisfies,
              valid on the whole integer line (the published statements carry
              their own degree reflection);
-  zeromaps   the three-term window around degree zero, for degree-0 homology
-             of any diagonal twist;
-  resolution the twisted-tensor bimodule resolution, for positive degrees of
-             any variant and twist, within the element budget;
-  oracle     the bar (co)chain complexes, for positive degrees within the
-             element budget; only the bar_only policy routes to it, so it
-             stays an independent check (cross_validate, the oracle command
-             and the verify suites).
+  resolution the spliced complex of the twisted-tensor resolution
+             (twisted_resolution), within the element budget;
+  oracle     the spliced complex of the bar resolution (hochschild_bar),
+             within the element budget; only the bar_only policy routes to
+             it, so it stays an independent check (cross_validate).
 
-The paper's explicit two-generator complex (codim2_complex.DeltaComplex)
-is no route: it checks the resolution's inverse-Nakayama homology in the
-verify codim2 suite and in the tests.
-
-Degrees with no direct terminal reduce through exactly one duality hop and
-never two: negative homology of the k-th twist equals degree -n-1 homology
-of the (-k)-th twist, negative cohomology of the k-th twist equals degree
--n-1 homology of the (k-1)-st twist, and degree-0 cohomology passes to
-degree-0 homology of the linear dual M, recognised as the twist of A by
-sigma = nu^j (expected j = 1-k).  Maps from that twist to M are a -> z.a
-for z in Z_sigma(M) = {z : x_w z = sigma_w z x_w}, a c*dim x dim kernel;
-A is local Frobenius, so one is bijective iff dim M = dim A, z.x^top != 0.
-Every duality-derived entry records its source degree, coefficient, and the
-terminal that produced the number.  Degrees that no permitted route can
-serve are marked unavailable with a reason instead of being guessed.
+A request builds at most one window.  The duality theorems are checked, not
+used: the verify duality suite compares degree-0 cohomology with the linear
+dual recognised as a Nakayama twist (recognize_nakayama_power, below).  The
+paper's two-generator complex (codim2_complex.DeltaComplex) checks the
+resolution's nu^-1 homology in the verify codim2 suite and the tests.
+Degrees that no permitted route can serve are marked unavailable with a
+reason instead of being guessed.
 """
 
 from dataclasses import dataclass
 
 from .closed_forms import ci_dim, codim2_cohomology_dim, codim2_homology_dim, \
     exterior_dim
-from .hochschild_bar import DEFAULT_BUDGET, BarWindow
-from .near_zero import tate_hh0
-from .qci_algebra import dual_bimodule, mat_apply, twisted_bimodule
-from .sparse_linalg import SparseMatrix
+from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
+from .near_zero import d0_matrix, d1_matrix
+from .qci_algebra import mat_apply, twisted_bimodule
+from .sparse_linalg import ChainComplexWindow, SparseMatrix
 from .twisted_resolution import ResolutionWindow
 
 _POLICIES = {
-    "auto": ("formula", "zeromaps", "resolution"),
+    "auto": ("formula", "resolution"),
     "formula_only": ("formula",),
-    "complex_only": ("zeromaps", "resolution"),
+    "complex_only": ("resolution",),
     "bar_only": ("oracle",),
 }
 
-# the window terminals and the complexes they read
+# the window terminals and the complexes their spliced windows read
 _WINDOWS = {"resolution": ResolutionWindow, "oracle": BarWindow}
 
 VARIANTS = ("homology", "cohomology")
@@ -204,9 +203,10 @@ def twisted_centre(M, sigma):
 def bimodules_isomorphic(M, sigma):
     """Whether M is isomorphic to its algebra A, left action twisted by sigma.
 
-    Bimodule maps from the twist to M are a -> z.a with z in Z_sigma(M).
-    A QCI is local Frobenius with socle k.x^top, so a -> z.a is injective
-    iff z.x^top != 0; that holds for some z iff for some basis vector z.
+    Bimodule maps from the twist to M are a -> z.a with z in Z_sigma(M), a
+    c*dim x dim kernel.  A QCI is local Frobenius with socle k.x^top, so
+    a -> z.a is injective iff z.x^top != 0; that holds for some z iff for
+    some basis vector z.
     """
     A = M.algebra
     if M.dim != A.dim:
@@ -227,8 +227,60 @@ def recognize_nakayama_power(A, M, expected_first=0, span=3):
     return None
 
 
+class TateWindow(ChainComplexWindow):
+    """The spliced complex C(j) on the degrees lo - 1 .. hi + 1.
+
+    ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
+    the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution's
+    maps next to the splice are near_zero's literal blocks, so a window
+    inside [-2, 1] builds no bimodule; the bar complex uses its own.
+    Composition-zero is checked at construction, across the splice too.
+    """
+
+    def __init__(self, A, j, lo, hi, budget, kind):
+        for n in range(lo, hi + 1):
+            needed = self.need(kind, A, n)
+            if needed > budget:
+                raise BudgetExceeded(n, needed, budget)
+        self.A, self.j, self.kind = A, j, kind
+        self._halves = {}
+        degrees = range(hi + 1, lo - 2, -1)
+        spaces = {n: kind.space_dim(A, A.dim, n if n >= 0 else -n - 1)
+                  for n in degrees}
+        super().__init__(degrees, spaces,
+                         {n: self._map(n) for n in degrees[:-1]})
+
+    @staticmethod
+    def need(kind, A, n):
+        """The largest space degree n reads: C_{n+1} (n >= 0) or C_{n-1}."""
+        return kind.space_dim(A, A.dim, (n if n >= 0 else -n - 1) + 1)
+
+    def _map(self, n):
+        """The map C_n -> C_{n-1}."""
+        A, j = self.A, self.j
+        if n == 0:  # the norm map
+            return d0_matrix(A, A.nakayama(j))
+        if self.kind is ResolutionWindow and n == 1:
+            return d1_matrix(A, A.nakayama(j)).scale(A.field.neg(A.field.one))
+        if self.kind is ResolutionWindow and n == -1:
+            # column block w of d1 becomes row block w
+            d1 = d1_matrix(A, A.nakayama(j + 1))
+            return SparseMatrix(A.field, d1.ncols, d1.nrows, (
+                (row + A.dim * (col // A.dim), col % A.dim, v)
+                for row, col, v in d1.entries()))
+        if n >= 1:
+            return self._half(j, "homology")(n)
+        return self._half(j + 1, "cohomology")(-n - 1)
+
+    def _half(self, j, variant):
+        if variant not in self._halves:
+            self._halves[variant] = self.kind.differentials(
+                nakayama_module(self.A, j), variant)
+        return self._halves[variant]
+
+
 class _Session:
-    """One tate_dims evaluation: plans routes, then shares heavy objects.
+    """One tate_dims evaluation: routes every degree, then builds one window.
 
     ``terminals`` narrows the evaluation to those terminals instead of the
     request's policy; cross_validate runs one session per terminal.
@@ -236,120 +288,44 @@ class _Session:
 
     def __init__(self, req, terminals=None):
         self.req = req
-        self.A = req.algebra
         self.terminals = _POLICIES[req.method] if terminals is None \
             else terminals
-        self.plans = {}
-        self.windows = {}
-        self._recognized = {}
+        self.window = None
 
-    # ---- reductions -------------------------------------------------
-
-    def _source(self, n):
-        """(variant, degree, twist power, reduction label) for degree n."""
-        req = self.req
-        k = req.nakayama_power
-        if n >= 1 or (n == 0 and req.variant == "homology"):
-            return req.variant, n, k, None
-        if n <= -1 and req.variant == "homology":
-            return "homology", -n - 1, -k, "duality"
-        if n <= -1:
-            return "homology", -n - 1, k - 1, "duality"
-        return "homology", 0, None, "dual"  # cohomology degree 0
-
-    # ---- terminal applicability ------------------------------------
-
-    def _plan_terminal(self, variant, d, j):
-        """(terminal name, None) or (None, unavailable reason)."""
-        for name in self.terminals:
-            if name == "formula":
-                if j is not None and \
-                        _formula_dim(self.A, variant, d, j) is not None:
-                    return name, None
-            elif name == "zeromaps":
-                if variant == "homology" and d == 0:
-                    return name, None
-            elif d >= 1:  # a window terminal
-                # degree d reads the chain space of degree d + 1
-                needed = _WINDOWS[name].space_dim(self.A, self.A.dim, d + 1)
-                if needed <= self.req.budget:
-                    return name, None
-                return None, (f"degree {d} needs {needed} "
-                              f"basis elements, budget is {self.req.budget}")
-        return None, f"no route under policy {self.req.method}"
-
-    # ---- evaluation --------------------------------------------------
-
-    def _evaluate(self, terminal, variant, d, j):
-        if terminal == "formula":
-            return _formula_dim(self.A, variant, d, j)
-        if terminal == "zeromaps":
-            return tate_hh0(self.A, self.A.nakayama(j))
-        return self.windows[(terminal, variant, j)].dimension(d)
-
-    def _recognize_dual(self, k):
-        if k not in self._recognized:
-            dual = dual_bimodule(nakayama_module(self.A, k))
-            self._recognized[k] = \
-                recognize_nakayama_power(self.A, dual, expected_first=1 - k)
-        return self._recognized[k]
+    def chain_degree(self, n):
+        """The degree of the spliced complex holding degree n."""
+        return n if self.req.variant == "homology" else -n - 1
 
     def run(self):
-        plans = {}
-        dual_pending = []
-        tops = {}  # (terminal, variant, j) -> top degree of a shared window
-        for n in self.req.degrees:
-            if "formula" in self.terminals and \
-                    _formula_dim(self.A, self.req.variant, n,
-                                 self.req.nakayama_power) is not None:
-                plans[n] = (None, self.req.variant, n,
-                            self.req.nakayama_power, "formula")
-                continue
-            variant, d, j, hop = self._source(n)
-            if hop == "dual":
-                dual_pending.append(n)
-                plans[n] = (hop, variant, d, j, None)
-                continue
-            terminal, reason = self._plan_terminal(variant, d, j)
-            plans[n] = (hop, variant, d, j, terminal) if terminal else \
-                ("unavailable", variant, d, j, reason)
-            if terminal in _WINDOWS:
-                key = (terminal, variant, j)
-                tops[key] = max(tops.get(key, 0), d)
-        # dual recognition shifts the source coefficient, so resolve the
-        # degree-0 cohomology plans before building shared windows
-        for n in dual_pending:
-            if not any(t in self.terminals for t in ("zeromaps", "formula")):
-                plans[n] = ("unavailable", "homology", 0, None,
-                            f"no route under policy {self.req.method}")
-                continue
-            j = self._recognize_dual(self.req.nakayama_power)
-            if j is None:
-                plans[n] = ("unavailable", "homology", 0, None,
-                            "linear dual not recognised as a diagonal twist")
-                continue
-            terminal, reason = self._plan_terminal("homology", 0, j)
-            plans[n] = ("dual", "homology", 0, j, terminal) if terminal \
-                else ("unavailable", "homology", 0, j, reason)
-        for key, top in sorted(tops.items()):
-            terminal, variant, j = key
-            self.windows[key] = _WINDOWS[terminal](
-                nakayama_module(self.A, j), top, variant, self.req.budget)
-        self.plans = plans
-
-        entries = []
-        for n in self.req.degrees:
-            hop, variant, d, j, last = plans[n]
-            if hop == "unavailable":
-                entries.append(TableEntry(n, None, "unavailable", last))
-                continue
-            value = self._evaluate(last, variant, d, j)
-            if hop is None:
-                entries.append(TableEntry(n, value, last))
+        req, A = self.req, self.req.algebra
+        kind = next((t for t in self.terminals if t in _WINDOWS), None)
+        entries, served = [], []
+        for n in req.degrees:
+            value = _formula_dim(A, req.variant, n, req.nakayama_power) \
+                if "formula" in self.terminals else None
+            if value is not None:
+                entries.append(TableEntry(n, value, "formula"))
+            elif kind is None:
+                entries.append(TableEntry(
+                    n, None, "unavailable",
+                    f"no route under policy {req.method}"))
             else:
-                source = f"degree={d}; coeff={coefficient_name(j)}; via={last}"
-                entries.append(TableEntry(n, value, "duality", source))
-        return DimensionTable(self.req, entries)
+                needed = TateWindow.need(_WINDOWS[kind], A,
+                                         self.chain_degree(n))
+                if needed <= req.budget:
+                    served.append(n)
+                else:
+                    entries.append(TableEntry(n, None, "unavailable", str(
+                        BudgetExceeded(n, needed, req.budget))))
+        if served:
+            chain = [self.chain_degree(n) for n in served]
+            k = req.nakayama_power
+            j = k if req.variant == "homology" else k - 1
+            self.window = TateWindow(A, j, min(chain), max(chain),
+                                     req.budget, _WINDOWS[kind])
+            entries.extend(TableEntry(n, self.window.homology_dim(t), kind)
+                           for n, t in zip(served, chain))
+        return DimensionTable(req, entries)
 
 
 def tate_dims(req):
@@ -361,22 +337,18 @@ def cross_validate(req, dump_dir=None):
     """Evaluate the request once per terminal and diff the answers.
 
     Returns {"degrees": [...], "all_agree": bool}; each degree reports the
-    value of every terminal that serves it, keyed by the terminal's name,
-    or "duality:name" when the value comes through a duality hop.  On
-    disagreement the maps of the resolution and oracle windows around that
-    degree are dumped under dump_dir (when given) and the paths are listed.
+    value of every terminal that serves it, keyed by the terminal's name.
+    On disagreement the maps into and out of that degree's chain space are
+    dumped from each window that serves it, under dump_dir (when given),
+    and the paths are listed.
     """
     sessions = {name: _Session(req, terminals=(name,))
-                for name in ("formula", "zeromaps", "resolution", "oracle")}
+                for name in ("formula", "resolution", "oracle")}
     tables = {name: session.run() for name, session in sessions.items()}
     report = []
     for n in req.degrees:
-        values = {}
-        for name, table in tables.items():
-            entry = table.entry(n)
-            if entry.dimension is not None:
-                prefix = "duality:" if entry.method == "duality" else ""
-                values[prefix + name] = entry.dimension
+        values = {name: table.dimension(n) for name, table in tables.items()
+                  if table.dimension(n) is not None}
         row = {"degree": n, "values": values,
                "agree": len(set(values.values())) <= 1}
         if not row["agree"] and dump_dir is not None:
@@ -386,24 +358,22 @@ def cross_validate(req, dump_dir=None):
 
 
 def _dump_disagreement(sessions, degree, dump_dir):
-    """Write the maps between degrees -1 and d + 1 of each window that
-    serves degree d (the source degree of ``degree``), one file per map,
-    named by its chain degree in the window."""
+    """Write the maps into and out of the chain space of ``degree`` from
+    each window that serves it, one file per map, named by its degree in
+    the spliced complex."""
     import os
 
     os.makedirs(dump_dir, exist_ok=True)
     paths = []
     for name in _WINDOWS:
         session = sessions[name]
-        _, variant, d, j, _ = session.plans[degree]
-        win = session.windows.get((name, variant, j))
-        if win is None or not 1 <= d <= win.n_max:
+        win, t = session.window, session.chain_degree(degree)
+        if win is None or not win.lo < t < win.hi:
             continue
-        lo, hi = sorted((win.position(-1), win.position(d + 1)))
-        for deg in range(lo + 1, hi + 1):
+        for deg in (t, t + 1):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(win.window.maps[deg].dump_coordinates())
+                fh.write(win.maps[deg].dump_coordinates())
             paths.append(path)
     return paths

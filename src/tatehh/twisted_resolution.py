@@ -25,7 +25,6 @@ composition-zero is re-checked at construction; the twisting scalars are
 further pinned against the bar complex and DeltaComplex in the tests.
 """
 
-from functools import cached_property
 from math import comb
 
 from .exact_field import scalar_pow
@@ -125,9 +124,7 @@ class ResolutionWindow(HochschildWindow):
     def space_dim(A, dim_b, n):
         return chain_space_dim(A.c, dim_b, n)
 
-    @cached_property
-    def sandwiches(self):
-        return _sandwiches(self.B)
-
-    def differential(self, n):
-        return _differential(self.B, n, self.variant, self.sandwiches)
+    @staticmethod
+    def differentials(B, variant):
+        sandwiches = _sandwiches(B)
+        return lambda n: _differential(B, n, variant, sandwiches)

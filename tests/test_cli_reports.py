@@ -1,10 +1,19 @@
 """Tests for spec parsing, the CLI subcommands, and the verify suites."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tatehh import tate_engine
 from tatehh.cli_reports import (
+    _duality_family,
     EXIT_BUDGET,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -16,6 +25,8 @@ from tatehh.cli_reports import (
     table_from_csv,
     table_from_json,
 )
+from tatehh.hochschild_bar import DEFAULT_BUDGET
+from tatehh.near_zero import d0_matrix
 from tatehh.tate_engine import TableEntry
 
 CODIM2_SPEC = """{
@@ -139,6 +150,20 @@ class TestParseSpec:
                        ' "exponents": [4]}')
         assert A.dim == 4
 
+    def test_oversized_spec_is_budget_exit_before_building(self, tmp_path,
+                                                           capsys):
+        huge = 1099511627776
+        path = tmp_path / "huge.json"
+        path.write_text('{"field": {"type": "rational"}, "exponents": [%d]}'
+                        % huge)
+        for argv in (["dims", "--min", "0", "--max", "0"],
+                     ["oracle", "--max", "0"], ["exactness"]):
+            start = time.monotonic()
+            assert main(argv + ["--spec", str(path)]) == EXIT_BUDGET
+            assert time.monotonic() - start < 1.0
+            err = capsys.readouterr().err
+            assert str(huge) in err and str(DEFAULT_BUDGET) in err
+
     def test_rejects_malformed_json_and_field(self):
         with pytest.raises(ValueError, match="valid JSON"):
             parse_spec("{not json")
@@ -261,6 +286,13 @@ class TestExactnessCommand:
         assert report[0]["lhs"] is True and report[0]["rhs"] is True
 
 
+    def test_non_positive_budget_is_usage_error(self, codim2_path, capsys):
+        for budget in ("0", "-3"):
+            assert main(["exactness", "--spec", codim2_path,
+                         "--budget", budget]) == EXIT_USAGE
+            assert "budget must be positive" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_ci_suite_rows(self):
         rows = run_verify("ci", 2)
@@ -310,7 +342,111 @@ class TestVerify:
                          "--budget", "0"]) == EXIT_USAGE
             assert "budget must be positive" in capsys.readouterr().err
 
+    def test_cli_exactness_suite_non_positive_budget_is_usage_error(
+            self, capsys):
+        for budget in ("0", "-3"):
+            assert main(["verify", "--suite", "exactness",
+                         "--budget", budget]) == EXIT_USAGE
+            assert "budget must be positive" in capsys.readouterr().err
+
+    def test_duality_suite_checks_the_recognised_dual(self):
+        rows = [row for row in run_verify("duality", 1)
+                if "degree 0 cohomology spliced complex vs recognised dual"
+                in row["check"]]
+        assert len(rows) == 3 * len(_duality_family())
+        assert all(row["pass"] and isinstance(row["lhs"], int)
+                   for row in rows)
+
+    def test_corrupted_splice_twist_fails_a_duality_row(self, monkeypatch):
+        # nu^{j+1} in place of nu^j in the norm map C_0 -> C_{-1}
+        monkeypatch.setattr(
+            tate_engine, "d0_matrix",
+            lambda A, psi: d0_matrix(A, A.twist_compose(psi, A.nakayama(1))))
+        rows = run_verify("duality", 1)
+        assert any(not row["pass"] for row in rows
+                   if "spliced" in row["check"])
+
     def test_mismatch_exit_code_contract(self):
         # a fabricated failing row drives the exit logic, not real math
         rows = [{"check": "x", "lhs": 1, "rhs": 2, "pass": False}]
         assert EXIT_MISMATCH == 1 and rows[0]["pass"] is False
+
+
+# ------------------------------------------------------------------ fuzzing
+
+BASE_SPECS = [
+    {"field": {"type": "rational"}, "c": 2, "exponents": [2, 3],
+     "q": [["1", "2"], ["1/2", "1"]]},
+    {"field": {"type": "prime", "p": 3}, "exponents": [2, 2],
+     "q": [["1", "-1"], ["-1", "1"]]},
+    {"field": {"type": "prime", "p": 5}, "exponents": [3]},
+]
+# small values only, so that no draw builds a large algebra
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from(["", "2", "x", "1/0", "0", "-1", "3/2"]),
+                 st.lists(st.integers(-1, 3), max_size=2), st.just({}))
+PRIMES = st.sampled_from([2, 3, 5, 7, 4, 9, 1, 0, -5, True, False, 2.0, "7"])
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_SPECS)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "top", "prime", "exponent",
+                                     "q", "nest"]))
+        if kind == "drop":
+            doc.pop(draw(st.sampled_from(["field", "c", "exponents", "q"])),
+                    None)
+        elif kind == "top":
+            doc[draw(st.sampled_from(["field", "c", "exponents", "q"]))] = \
+                draw(JUNK)
+        elif kind == "prime":
+            doc["field"] = {"type": "prime", "p": draw(PRIMES)}
+        elif kind == "exponent" and isinstance(doc.get("exponents"), list) \
+                and doc["exponents"]:
+            w = draw(st.integers(0, len(doc["exponents"]) - 1))
+            doc["exponents"][w] = draw(JUNK)
+        elif kind == "q" and isinstance(doc.get("q"), list) and doc["q"] \
+                and isinstance(doc["q"][0], list) and doc["q"][0]:
+            doc["q"][0][-1] = draw(JUNK)  # breaks the inverse pair, or types
+        elif kind == "nest":
+            doc["exponents"] = [doc.get("exponents")]
+    text = json.dumps(doc)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+ARGVS = st.one_of(
+    st.tuples(st.just("dims"), st.integers(-2, 2), st.integers(-2, 2),
+              st.sampled_from(["homology", "cohomology"]),
+              st.sampled_from(["regular", "nu:1", "nu:-2", "nu:", "nu:x",
+                               "twist:3"]),
+              st.sampled_from(["auto", "complex", "formula", "bar"])).map(
+        lambda t: [t[0], "--min", str(t[1]), "--max", str(t[2]),
+                   "--variant", t[3], "--coeff", t[4], "--method", t[5]]),
+    st.tuples(st.just("oracle"), st.integers(-1, 1),
+              st.sampled_from(["regular", "nu:1", "nu:y"])).map(
+        lambda t: [t[0], "--max", str(t[1]), "--coeff", t[2]]),
+    st.just(["exactness"]))
+BUDGETS = st.sampled_from([None] * 4 + ["-1", "0", "1", "50"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mutated_specs(), ARGVS, BUDGETS)
+def test_fuzz_spec_and_argv_exit_with_documented_codes(text, argv, budget):
+    try:
+        parse_spec(text)
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = argv + ["--spec", path, "--out", os.path.join(tmp, "out")]
+        if budget is not None:
+            argv += ["--budget", budget]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE,
+                                  EXIT_BUDGET)

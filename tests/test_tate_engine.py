@@ -1,4 +1,5 @@
-"""Tests for the routing engine and its duality reductions."""
+"""Tests for the routing engine, its spliced Tate window, and the dual
+recognition that the verify duality suite checks the window against."""
 
 from fractions import Fraction
 from random import Random
@@ -29,7 +30,7 @@ from tatehh.tate_engine import (
 
 from oracles import cols_to_rows, dense_rank, intertwiner_space_dim
 
-TERMINALS = ("formula", "zeromaps", "resolution", "oracle")
+TERMINALS = ("formula", "resolution", "oracle")
 
 
 def codim2_q2():
@@ -73,34 +74,30 @@ class TestPublishedTables:
         for e in bar.entries:
             if e.dimension is not None:
                 assert e.dimension == auto.dimension(e.degree)
-        # stable degree 0 is out of reach for the bar complex alone
-        assert bar.dimension(0) is None
-        assert "no route" in bar.entry(0).source
+        # stable degree 0 comes from the bar complex spliced to its dual
+        assert bar.dimension(0) == auto.dimension(0)
+        assert bar.entry(0).method == "oracle"
 
     def test_degree_zero_cohomology_is_one(self):
         table = tate_dims(TateRequest(codim2_q2(), 0, 0, "cohomology",
                                       method="complex_only"))
         entry = table.entry(0)
         assert entry.dimension == 1
-        assert entry.method == "duality"
-        assert "coeff=nu^1" in entry.source and "zeromaps" in entry.source
+        assert (entry.method, entry.source) == ("resolution", "")
 
     def test_negative_cohomology_vanishes_via_complexes(self):
         table = tate_dims(TateRequest(codim2_q2(), -4, -1, "cohomology",
                                       method="complex_only"))
         assert table.dims() == [0, 0, 0, 0]
-        vias = [e.source.split("via=")[1] for e in table.entries]
-        assert vias == ["resolution", "resolution", "resolution", "zeromaps"]
+        assert [e.method for e in table.entries] == ["resolution"] * 4
 
     def test_twisted_negative_homology(self):
-        # degrees -2, -1 of the nu twist reduce to the nu^{-1} sources
+        # degrees -2, -1 of the nu twist are cochain degrees 1, 0 of nu^2
         table = tate_dims(TateRequest(codim2_q2(), -2, -1, "homology",
                                       nakayama_power=1))
         assert table.dims() == [0, 0]
-        assert [e.source for e in table.entries] == [
-            "degree=1; coeff=nu^-1; via=resolution",
-            "degree=0; coeff=nu^-1; via=zeromaps",
-        ]
+        assert [(e.method, e.source) for e in table.entries] == \
+            [("resolution", "")] * 2
 
 
 class TestPolicies:
@@ -150,10 +147,9 @@ class TestProvenance:
         A = exterior_algebra(PrimeField(3), 2)
         table = tate_dims(TateRequest(A, -3, 2, "homology",
                                       method="bar_only"))
+        # negative degrees too come straight from a terminal, with no hop
         for e in table.entries:
-            if e.method == "duality":
-                via = e.source.split("via=")[1]
-                assert via in TERMINALS
+            assert e.method in TERMINALS and e.source == ""
 
     def test_csv_round_trip(self):
         table = tate_dims(TateRequest(codim2_q2(), -1, 1, "cohomology"))
@@ -308,9 +304,8 @@ class TestCrossValidate:
         assert rep["all_agree"]
         by_degree = {r["degree"]: r["values"] for r in rep["degrees"]}
         assert by_degree[1] == {"formula": 2, "oracle": 2, "resolution": 2}
-        assert by_degree[-2] == \
-            {"formula": 0, "duality:oracle": 0, "duality:resolution": 0}
-        assert by_degree[0] == {"formula": 1, "duality:zeromaps": 1}
+        assert by_degree[-2] == {"formula": 0, "oracle": 0, "resolution": 0}
+        assert by_degree[0] == {"formula": 1, "oracle": 1, "resolution": 1}
 
     def test_commutative_ci_values(self):
         A = truncated_polynomial_algebra(QQ, (2, 2))
@@ -322,7 +317,8 @@ class TestCrossValidate:
     def test_exterior_char2_degree_zero(self):
         A = exterior_algebra(PrimeField(2), 2)
         rep = cross_validate(TateRequest(A, 0, 0, "homology"))
-        assert rep["degrees"][0]["values"] == {"formula": 4, "zeromaps": 4}
+        assert rep["degrees"][0]["values"] == \
+            {"formula": 4, "oracle": 4, "resolution": 4}
 
 
 # every shape with c <= 3 and dim <= 6 (c = 3 starts at dim 8)
@@ -356,8 +352,4 @@ def test_property_cross_validate_routes_agree(A, k, variant):
     rep = cross_validate(TateRequest(A, -2, 2, variant, nakayama_power=k))
     assert rep["all_agree"], rep
     for row in rep["degrees"]:
-        n = row["degree"]
-        if n >= 1 or n <= -2:  # the source degree is at least 1
-            prefix = "" if n >= 1 else "duality:"
-            assert {prefix + "resolution", prefix + "oracle"} <= \
-                set(row["values"]), row
+        assert {"resolution", "oracle"} <= set(row["values"]), row

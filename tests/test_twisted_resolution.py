@@ -11,9 +11,9 @@ from tatehh import QQ, PrimeField, codim2_algebra, exterior_algebra, \
 from tatehh import hochschild_bar
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
-from tatehh.hochschild_bar import BarWindow, BudgetExceeded
+from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from tatehh.qci_algebra import Bimodule, QciAlgebra
-from tatehh.tate_engine import TateRequest, cross_validate, \
+from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
 from tatehh.twisted_resolution import ResolutionWindow, chain_space_dim, \
     generators
@@ -55,6 +55,20 @@ def test_property_matches_bar_oracle(A, k):
         [bar_homology.dimension(n) for n in range(top + 1)]
     assert [cohomology.dimension(n) for n in range(top + 1)] == \
         [bar_cohomology.dimension(n) for n in range(top + 1)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(qcis(), st.integers(-2, 2))
+def test_property_literal_splice_maps_match_resolution(A, j):
+    """The spliced window's maps next to degree 0 are near_zero's literal
+    blocks; they equal the resolution's own degree-1 maps."""
+    window = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, ResolutionWindow)
+    homology = ResolutionWindow.differentials(nakayama_module(A, j),
+                                              "homology")
+    cohomology = ResolutionWindow.differentials(nakayama_module(A, j + 1),
+                                                "cohomology")
+    assert window.maps[1] == homology(1)
+    assert window.maps[-1] == cohomology(0)
 
 
 def test_generators_and_space_sizes():
@@ -146,11 +160,7 @@ def test_auto_routes_generic_c3_without_bar(monkeypatch):
             table = tate_dims(TateRequest(A, -3, 3, variant,
                                           nakayama_power=k))
             assert table.complete()
-            for e in table.entries:
-                if e.degree >= 1:
-                    assert e.method == "resolution"
-                elif e.method == "duality" and "degree=0;" not in e.source:
-                    assert e.source.endswith("via=resolution")
+            assert {e.method for e in table.entries} == {"resolution"}
     cohomology = tate_dims(TateRequest(A, -3, 3, "cohomology"))
     assert cohomology.dims() == [0, 0, 0, 1, 3, 3, 1]
 
@@ -173,30 +183,39 @@ def test_budget_caps_largest_resolution_space(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == EXIT_BUDGET
 
 
+def corrupt_resolution(monkeypatch):
+    """Make every resolution window report -1, leaving the bar ones alone."""
+    original = TateWindow.homology_dim
+    monkeypatch.setattr(
+        TateWindow, "homology_dim",
+        lambda self, n: -1 if self.kind is ResolutionWindow
+        else original(self, n))
+
+
 def test_cross_validate_dumps_both_complexes(monkeypatch, tmp_path):
     A = codim2_algebra(PrimeField(5), 2, 2, 2)  # no formula, no delta
-    monkeypatch.setattr(ResolutionWindow, "dimension", lambda self, n: -1)
+    corrupt_resolution(monkeypatch)
     rep = cross_validate(TateRequest(A, 1, 1), dump_dir=str(tmp_path))
     assert not rep["all_agree"]
     row = rep["degrees"][0]
     assert set(row["values"]) == {"resolution", "oracle"}
     assert sorted(os.path.basename(path) for path in row["dumps"]) == [
         f"degree1_{name}_map{deg}.txt"
-        for name in ("oracle", "resolution") for deg in (0, 1, 2)]
+        for name in ("oracle", "resolution") for deg in (1, 2)]
 
 
 def test_cross_validate_dumps_cohomology_maps_around_degree(monkeypatch,
                                                             tmp_path):
-    # both degrees share one window of top 2, where cochain degree n sits
-    # at chain degree 3 - n; degree d reads the maps between -1 and d + 1
+    # cohomology degree d sits at degree -d - 1 of the spliced complex and
+    # reads the maps out of it (-d - 1) and into it (-d)
     A = codim2_algebra(PrimeField(5), 2, 2, 2)
-    monkeypatch.setattr(ResolutionWindow, "dimension", lambda self, n: -1)
+    corrupt_resolution(monkeypatch)
     rep = cross_validate(TateRequest(A, 1, 2, "cohomology"),
                          dump_dir=str(tmp_path))
     dumps = {row["degree"]: sorted(os.path.basename(path)
                                    for path in row["dumps"])
              for row in rep["degrees"]}
     assert dumps == {
-        d: [f"degree{d}_{name}_map{deg}.txt"
-            for name in ("oracle", "resolution") for deg in range(3 - d, 5)]
+        d: sorted(f"degree{d}_{name}_map{deg}.txt"
+                  for name in ("oracle", "resolution") for deg in (-d - 1, -d))
         for d in (1, 2)}
