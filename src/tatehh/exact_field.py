@@ -7,7 +7,25 @@ printing, so the rest of the package can stay field-generic without wrapping
 every scalar in an object.
 """
 
+import re
 from fractions import Fraction
+
+# The documented scalar forms "n" and "n/d"; Fraction alone would also take
+# exponent notation ("1e4000000" builds a 4-million-digit integer), decimal
+# points and digit separators.
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_fraction(text):
+    """Fraction of "n" or "n/d" (surrounding whitespace ignored)."""
+    text = text.strip()
+    if not _SCALAR.fullmatch(text):
+        raise ValueError(f"not a scalar of the form n or n/d: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
 
 # Moduli must stay below 2**61 so products of two residues fit comfortably
 # in a machine-assisted big-int fast path and pivoting costs stay predictable.
@@ -83,10 +101,7 @@ class RationalField:
 
     def parse(self, text):
         """Parse "n" or "n/d" into a canonical Fraction."""
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational scalar: {text!r}") from exc
+        return _parse_fraction(text)
 
     def to_str(self, x):
         return str(x)
@@ -148,10 +163,7 @@ class PrimeField:
     def parse(self, text):
         """Parse "n" or "n/d" into a canonical residue (d inverted mod p)."""
         text = text.strip()
-        try:
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a scalar: {text!r}") from exc
+        q = _parse_fraction(text)
         if q.denominator % self.p == 0:
             raise ValueError(f"denominator of {text!r} vanishes mod {self.p}")
         return self.mul(q.numerator % self.p, self.inv(q.denominator % self.p))

@@ -7,13 +7,17 @@ fewest remaining rows, ties going to the lowest index (a Markowitz-style
 rule that bounds fill by the pivot's row and column counts without scanning
 every entry).  Rank is the number of pivots, counted on whichever of the
 matrix and its transpose has fewer rows; the kernel basis comes from
-back-substituting the pivot rows.  Elimination never creates fill between
-rows and columns it does not already connect, so the blocks of a
-multigraded differential stay apart without being split out first.  Over the
-rationals a modular pre-pass computes the rank mod a fixed word-sized prime
-first; that lower bound is certified only when it meets the trivial upper
-bound min(#nonzero rows, #nonzero cols), otherwise exact fraction elimination
-decides.
+back-substituting the pivot rows.
+
+A matrix built with multidegree labels on its rows and columns is graded:
+construction rejects an entry whose row and column labels differ, and the
+rank is the sum of the exact ranks of the blocks of equal label, each
+eliminated on its own without a pre-pass (the blocks of the resolution are
+a few elements a side).  An ungraded matrix is the one-block case.  Over
+the rationals it keeps a modular pre-pass, which computes the rank mod a
+fixed word-sized prime first; that lower bound is certified only when it
+meets the trivial upper bound min(#nonzero rows, #nonzero cols), otherwise
+exact fraction elimination decides.
 
 A ChainComplexWindow is a finite run of degrees with one matrix per adjacent
 pair, mapping degree n to n - 1.  Construction checks shapes and that
@@ -33,13 +37,25 @@ _PREPASS_FIELD = PrimeField(_PREPASS_PRIME)
 
 
 class SparseMatrix:
-    """An immutable nrows x ncols matrix over an exact field."""
+    """An immutable nrows x ncols matrix over an exact field.
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_nnz", "_rank")
+    ``labels``, a pair (row labels, column labels), grades the matrix: each
+    entry must join a row and a column of equal label, else ValueError, and
+    the rank is summed over the blocks of equal label.  Matrices derived by
+    transpose, compose, scale or add are ungraded.
+    """
 
-    def __init__(self, field, nrows, ncols, entries=()):
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_nnz", "_rank",
+                 "_labels")
+
+    def __init__(self, field, nrows, ncols, entries=(), labels=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be non-negative")
+        if labels is not None:
+            row_labels, col_labels = labels
+            if (len(row_labels), len(col_labels)) != (nrows, ncols):
+                raise ValueError(
+                    f"labels do not fit a {nrows}x{ncols} matrix")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -55,9 +71,17 @@ class SparseMatrix:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             row[j] = v
             count += 1
+        if labels is not None:
+            for i, row in rows.items():
+                label = row_labels[i]
+                for j in row:
+                    if col_labels[j] != label:
+                        raise ValueError(f"entry ({i}, {j}) joins multidegree "
+                                         f"{col_labels[j]} to {label}")
         self._rows = rows
         self._nnz = count
         self._rank = None
+        self._labels = labels
 
     @classmethod
     def from_dict(cls, field, nrows, ncols, entry_dict):
@@ -76,6 +100,18 @@ class SparseMatrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
+
+    def blocks(self):
+        """(row indices, column indices) per label, in order of first
+        appearance among the rows, then the columns; an ungraded matrix is
+        one block."""
+        if self._labels is None:
+            return [(list(range(self.nrows)), list(range(self.ncols)))]
+        out = {}
+        for side, labels in enumerate(self._labels):
+            for index, label in enumerate(labels):
+                out.setdefault(label, ([], []))[side].append(index)
+        return list(out.values())
 
     def entry(self, i, j):
         return self._rows.get(i, {}).get(j, self.field.zero)
@@ -172,8 +208,20 @@ class SparseMatrix:
         return self._rank
 
     def _compute_rank(self):
+        """The sum of the block ranks.  Graded blocks are tiny and are
+        eliminated exactly; only an ungraded matrix, one block, gets the
+        modular pre-pass."""
         if self._nnz == 0:
             return 0
+        if self._labels is not None:
+            field, row_labels = self.field, self._labels[0]
+            blocks = {}
+            for i, row in self._rows.items():
+                blocks.setdefault(row_labels[i], {})[i] = row
+            return sum(
+                1 if len(block) == 1 else sum(1 for _ in _eliminate(
+                    field, {i: dict(row) for i, row in block.items()}))
+                for block in blocks.values())
         if self.field.characteristic == 0:
             modular = self._elimination_rows(residues=True)
             if modular is not None:

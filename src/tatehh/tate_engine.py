@@ -233,8 +233,11 @@ class TateWindow(ChainComplexWindow):
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
     the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution's
     maps next to the splice are near_zero's literal blocks, so a window
-    inside [-2, 1] builds no bimodule; the bar complex uses its own.
-    Composition-zero is checked at construction, across the splice too.
+    inside [-2, 1] builds no bimodule; the bar complex uses its own.  The
+    resolution's maps beyond them (|n| >= 2) are graded by multidegree
+    and ranked block by block (twisted_resolution); the literal maps and
+    the bar complex's stay ungraded.  Composition-zero is checked at
+    construction, across the splice too.
     """
 
     def __init__(self, A, j, lo, hi, budget, kind):
@@ -269,8 +272,12 @@ class TateWindow(ChainComplexWindow):
                 (row + A.dim * (col // A.dim), col % A.dim, v)
                 for row, col, v in d1.entries()))
         if n >= 1:
-            return self._half(j, "homology")(n)
-        return self._half(j + 1, "cohomology")(-n - 1)
+            half, degree = self._half(j, "homology"), n
+        else:
+            half, degree = self._half(j + 1, "cohomology"), -n - 1
+        if self.kind is BarWindow:
+            return half(degree)
+        return half(degree, graded=True)
 
     def _half(self, j, variant):
         if variant not in self._halves:

@@ -23,8 +23,24 @@ A term x_w^j e' x_w^k acts on a B summand as b -> x_w^k b x_w^j in homology
 and f -> x_w^j f x_w^k in cohomology.  Windows are ChainComplexWindows, so
 composition-zero is re-checked at construction; the twisting scalars are
 further pinned against the bar complex and DeltaComplex in the tests.
+
+The summand block of s T_w depends only on w, the parity of i_w, the depths
+D_v(i) for v != w and the parity of i_1 + ... + i_{w-1}.  D_v is injective
+in i_v, so that key is w with i, i_w taken mod 2; the callable that
+``ResolutionWindow.differentials`` returns keeps one table of blocks under
+it, so every degree it builds shares each block and its q-powers.
+
+Grading: when B is A with its monomial basis (a Nakayama twist), both
+complexes are Z^c-graded.  The basis element x^m e_i (x^m in the summand of
+e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
+every differential preserves it, since x_w^j e' x_w^k has j + k =
+D_w(i) - D_w(i - e_w).  The same callable's ``multidegrees(n)`` lists these
+labels once per degree; a map built with them (``graded``) is split into
+blocks of at most 2^c basis elements a side (per w, at most two values of
+i_w fit a multidegree) and ranked block by block.
 """
 
+from itertools import chain
 from math import comb
 
 from .exact_field import scalar_pow
@@ -60,16 +76,23 @@ def _sandwiches(B):
     return out
 
 
+def depth(a, k):
+    """a floor(k / 2) + (k mod 2), which is D_v(i) for a = a_v, k = i_v."""
+    return a * (k // 2) + k % 2
+
+
 def _block(B, sandwiches, i, w, variant):
-    """The map on one B summand induced by s T_w for the generator e_i."""
+    """The map on one B summand induced by s T_w for the generator e_i, as
+    one {row: scalar} dict per column."""
     A, field = B.algebra, B.field
     q, a = A.q, A.exponents[w]
-    depth = [av * (iv // 2) + iv % 2 for av, iv in zip(A.exponents, i)]
     alpha, beta = field.one, field.one
     for v in range(w):
-        alpha = field.mul(alpha, scalar_pow(field, q[v][w], depth[v]))
+        alpha = field.mul(alpha, scalar_pow(field, q[v][w],
+                                            depth(A.exponents[v], i[v])))
     for v in range(w + 1, A.c):
-        beta = field.mul(beta, scalar_pow(field, q[w][v], depth[v]))
+        beta = field.mul(beta, scalar_pow(field, q[w][v],
+                                          depth(A.exponents[v], i[v])))
     sign = field.one if sum(i[:w]) % 2 == 0 else field.neg(field.one)
     if i[w] % 2:
         terms = [(alpha, 1, 0), (field.neg(beta), 0, 1)]
@@ -94,27 +117,78 @@ def _block(B, sandwiches, i, w, variant):
     return out
 
 
-def _differential(B, n, variant, sandwiches):
-    """The map of degree n: the boundary P_n -> P_{n-1} in homology
-    (n >= 1), the coboundary from degree n to n + 1 in cohomology."""
-    c, dim = B.algebra.c, B.dim
-    top = n if variant == "homology" else n + 1
-    index = {i: t for t, i in enumerate(generators(c, top - 1))}
-    entries = []
-    for t, i in enumerate(generators(c, top)):
-        for w in range(c):
-            if not i[w]:
-                continue
-            s = index[i[:w] + (i[w] - 1,) + i[w + 1:]]
-            row_off, col_off = (s, t) if variant == "homology" else (t, s)
-            block = _block(B, sandwiches, i, w, variant)
-            for col, column in enumerate(block):
-                for row, v in column.items():
-                    entries.append((row_off * dim + row, col_off * dim + col, v))
-    lower = chain_space_dim(c, dim, top - 1)
-    upper = chain_space_dim(c, dim, top)
-    shape = (lower, upper) if variant == "homology" else (upper, lower)
-    return SparseMatrix(B.field, *shape, entries)
+class _Assembly:
+    """The maps of B (x) P (homology) or Hom(P, B) (cohomology) for one B.
+
+    Every degree shares one table each of summand blocks, under the key of
+    the module docstring, generator lists and multidegree labels.
+    """
+
+    def __init__(self, B, variant):
+        self.B, self.variant = B, variant
+        self.sandwiches = _sandwiches(B)
+        self.blocks, self.bases, self.labels = {}, {}, {}
+        # columns[v][k]: component v of the multidegree over the basis of
+        # a summand with i_v = k
+        self.columns = [[] for _ in range(B.algebra.c)]
+
+    def generators(self, n):
+        if n not in self.bases:
+            self.bases[n] = generators(self.B.algebra.c, n)
+        return self.bases[n]
+
+    def multidegrees(self, n):
+        """The Z^c multidegree of each basis element of degree n, in basis
+        order, for B = A with its monomial basis (a Nakayama twist): x^m e_i
+        has m + D(i) in homology and m - D(i) in cohomology."""
+        if n not in self.labels:
+            A = self.B.algebra
+            sign = 1 if self.variant == "homology" else -1
+            for a, coordinate, column in zip(A.exponents, zip(*A.monomials()),
+                                             self.columns):
+                for k in range(len(column), n + 1):
+                    d = sign * depth(a, k)
+                    column.append([m + d for m in coordinate])
+            self.labels[n] = list(zip(*[
+                chain.from_iterable(map(column.__getitem__, ks))
+                for column, ks in zip(self.columns,
+                                      zip(*self.generators(n)))]))
+        return self.labels[n]
+
+    def block(self, i, w):
+        key = (w, i[:w] + (i[w] % 2,) + i[w + 1:])
+        if key not in self.blocks:
+            self.blocks[key] = _block(self.B, self.sandwiches, key[1], w,
+                                      self.variant)
+        return self.blocks[key]
+
+    def __call__(self, n, graded=False):
+        """The map of degree n: the boundary P_n -> P_{n-1} in homology
+        (n >= 1), the coboundary from degree n to n + 1 in cohomology.
+        ``graded`` (for B = A with its monomial basis) labels its rows and
+        columns with their multidegrees."""
+        B, variant = self.B, self.variant
+        c, dim = B.algebra.c, B.dim
+        top = n if variant == "homology" else n + 1
+        index = {i: t for t, i in enumerate(self.generators(top - 1))}
+        entries = []
+        for t, i in enumerate(self.generators(top)):
+            for w in range(c):
+                if not i[w]:
+                    continue
+                s = index[i[:w] + (i[w] - 1,) + i[w + 1:]]
+                row_off, col_off = (s * dim, t * dim) \
+                    if variant == "homology" else (t * dim, s * dim)
+                for col, column in enumerate(self.block(i, w)):
+                    for row, v in column.items():
+                        entries.append((row_off + row, col_off + col, v))
+        rows, cols = (top - 1, top) if variant == "homology" \
+            else (top, top - 1)
+        labels = (self.multidegrees(rows), self.multidegrees(cols)) \
+            if graded else None
+        return SparseMatrix(B.field, chain_space_dim(c, dim, rows),
+                            chain_space_dim(c, dim, cols), entries,
+                            labels=labels)
 
 
 class ResolutionWindow(HochschildWindow):
@@ -126,5 +200,4 @@ class ResolutionWindow(HochschildWindow):
 
     @staticmethod
     def differentials(B, variant):
-        sandwiches = _sandwiches(B)
-        return lambda n: _differential(B, n, variant, sandwiches)
+        return _Assembly(B, variant)

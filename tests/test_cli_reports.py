@@ -116,6 +116,21 @@ class TestParseSpec:
         with pytest.raises(ValueError, match=r"q\[0\]\[1\]"):
             parse_spec(bad)
 
+    @pytest.mark.parametrize("field", ['{"type": "rational"}',
+                                       '{"type": "prime", "p": 7}'])
+    @pytest.mark.parametrize("scalar", ["1e4000000", "1.5", "1_000"])
+    def test_dims_rejects_scalar_outside_n_over_d(self, tmp_path, capsys,
+                                                  field, scalar):
+        path = tmp_path / "bad.json"
+        path.write_text('{"field": %s, "exponents": [2, 2],'
+                        ' "q": [["1", "%s"], ["1", "1"]]}' % (field, scalar))
+        start = time.monotonic()
+        assert main(["dims", "--spec", str(path), "--min", "0",
+                     "--max", "1"]) == EXIT_USAGE
+        assert time.monotonic() - start < 1.0
+        assert f"q[0][1]: not a scalar of the form n or n/d: '{scalar}'" \
+            in capsys.readouterr().err
+
     def test_rejects_numeric_scalar(self):
         bad = ('{"field": {"type": "rational"}, "exponents": [2, 2],'
                ' "q": [["1", 2], ["1/2", "1"]]}')

@@ -1,5 +1,6 @@
 """Field arithmetic, parsing, and root-of-unity detection."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,22 @@ def test_rational_parse_rejects_garbage():
         QQ.parse("q")
     with pytest.raises(ValueError):
         QQ.parse("1/0")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("text", ["1e4000000", "1e-4000000", "1.5", "1_000",
+                                  "1/-2", "", "/2", "0x10"])
+def test_parse_accepts_only_n_and_n_over_d(field, text):
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="n or n/d"):
+        field.parse(text)
+    assert time.monotonic() - start < 1.0
+
+
+def test_parse_strips_and_takes_signs():
+    assert QQ.parse(" +3/4\n") == Fraction(3, 4)
+    assert QQ.parse("-12") == Fraction(-12)
+    assert PrimeField(7).parse(" -1/2 ") == PrimeField(7).neg(4)
 
 
 def test_rational_singleton_equality():

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from tatehh import QQ, PrimeField, codim2_algebra, exterior_algebra, \
     truncated_polynomial_algebra
-from tatehh import hochschild_bar
+from tatehh import hochschild_bar, twisted_resolution
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
 from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from tatehh.qci_algebra import Bimodule, QciAlgebra
+from tatehh.sparse_linalg import SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
 from tatehh.twisted_resolution import ResolutionWindow, chain_space_dim, \
@@ -69,6 +70,102 @@ def test_property_literal_splice_maps_match_resolution(A, j):
                                                 "cohomology")
     assert window.maps[1] == homology(1)
     assert window.maps[-1] == cohomology(0)
+
+
+def chain_labels(A, n):
+    """The multidegree labels of degree n of a spliced window."""
+    variant, degree = ("homology", n) if n >= 0 else ("cohomology", -n - 1)
+    return ResolutionWindow.differentials(nakayama_module(A, 0),
+                                          variant).multidegrees(degree)
+
+
+def moved_entry(M, rows, cols):
+    """The entries of M with its first entry moved to a column of another
+    multidegree in the same row."""
+    entries = M.entries()
+    i, j, v = entries[0]
+    taken = {col for row, col, _ in entries if row == i}
+    target = next(col for col in range(M.ncols)
+                  if cols[col] != rows[i] and col not in taken)
+    return [(i, target, v)] + entries[1:]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(qcis(), st.integers(-2, 2))
+def test_property_graded_window_matches_whole_map_ranks(A, j):
+    window = TateWindow(A, j, -5, 5, DEFAULT_BUDGET, ResolutionWindow)
+    whole = {n: SparseMatrix(A.field, *m.shape, m.entries()).rank()
+             for n, m in window.maps.items()}
+    assert window.homology_dims() == {
+        n: window.spaces[n] - whole[n] - whole[n + 1]
+        for n in window.interior_degrees()}
+    for n, m in window.maps.items():
+        blocks = m.blocks()
+        if abs(n) < 2:  # the literal splice maps stay one block
+            assert len(blocks) == 1
+            continue
+        assert len(blocks) > 1
+        assert max(max(len(r), len(c)) for r, c in blocks) <= 2 ** A.c
+    for n in (2, -2):
+        rows, cols = chain_labels(A, n - 1), chain_labels(A, n)
+        m = window.maps[n]
+        assert SparseMatrix(A.field, *m.shape, m.entries(),
+                            labels=(rows, cols)) == m
+        if m.is_zero():
+            continue
+        with pytest.raises(ValueError, match="multidegree"):
+            SparseMatrix(A.field, *m.shape, moved_entry(m, rows, cols),
+                         labels=(rows, cols))
+
+
+@pytest.mark.parametrize("variant", ["homology", "cohomology"])
+def test_entry_across_multidegrees_fails_window_construction(monkeypatch,
+                                                             variant):
+    """A transcription slip that moves one entry of a summand block to
+    another monomial is caught while the graded map is built."""
+    original = twisted_resolution._block
+
+    def slipped(B, *args):
+        columns = original(B, *args)
+        column = next(column for column in columns if column)
+        row = next(iter(column))
+        column[(row + 1) % B.dim] = column.pop(row)
+        return columns
+
+    monkeypatch.setattr(twisted_resolution, "_block", slipped)
+    A = codim2_algebra(QQ, 2, 3, Fraction(2))
+    lo, hi = (2, 3) if variant == "homology" else (-4, -3)
+    with pytest.raises(ValueError, match="multidegree"):
+        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
+
+
+def test_bar_and_hochschild_windows_stay_ungraded():
+    A = codim2_algebra(PrimeField(5), 2, 2, 2)
+    bar = TateWindow(A, 0, -2, 2, DEFAULT_BUDGET, BarWindow)
+    res = ResolutionWindow(nakayama_module(A, 0), 3)
+    for m in list(bar.maps.values()) + list(res.window.maps.values()):
+        assert m.blocks() == [(list(range(m.nrows)), list(range(m.ncols)))]
+
+
+# the generic c = 3 algebra of the roadmap: exponents 2, 2, 3 over QQ
+C3_SPEC = QciAlgebra(QQ, (2, 2, 3), [
+    [QQ.one, Fraction(2), Fraction(3, 5)],
+    [Fraction(1, 2), QQ.one, Fraction(-7, 3)],
+    [Fraction(5, 3), Fraction(-3, 7), QQ.one]])
+
+
+@pytest.mark.parametrize("variant, k, nonzero", [
+    ("cohomology", 0, {0: 1, 1: 3, 2: 3, 3: 1}),
+    ("homology", -1, {-4: 1, -3: 3, -2: 3, -1: 1}),
+])
+def test_c3_spec_deep_tables(variant, k, nonzero):
+    """Recorded before the resolution halves were graded: every entry of
+    [-20, 20] from the resolution, nonzero only next to degree 0."""
+    table = tate_dims(TateRequest(C3_SPEC, -20, 20, variant, nakayama_power=k,
+                                  method="complex_only"))
+    assert [(e.degree, e.dimension, e.method, e.source)
+            for e in table.entries] == \
+        [(n, nonzero.get(n, 0), "resolution", "") for n in range(-20, 21)]
 
 
 def test_generators_and_space_sizes():
