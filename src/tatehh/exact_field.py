@@ -2,9 +2,11 @@
 
 Scalars are plain Python values in canonical form: `fractions.Fraction` over
 the rationals (always fully reduced, unique representation), integers in
-``range(p)`` over GF(p).  A field object supplies the arithmetic, parsing and
-printing, so the rest of the package can stay field-generic without wrapping
-every scalar in an object.
+``range(p)`` over GF(p).  The rational operations also take Python ints,
+the integer rationals (integer-scaled maps hold them), and ``inv`` and
+``div`` return a Fraction for them, never a float.  A field object supplies
+the arithmetic, parsing and printing, so the rest of the package can stay
+field-generic without wrapping every scalar in an object.
 """
 
 import re
@@ -92,12 +94,12 @@ class RationalField:
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / x
+        return Fraction(1, x) if isinstance(x, int) else 1 / x
 
     def div(self, x, y):
         if y == 0:
             raise ZeroDivisionError("division by zero")
-        return x / y
+        return Fraction(x) / y
 
     def parse(self, text):
         """Parse "n" or "n/d" into a canonical Fraction."""

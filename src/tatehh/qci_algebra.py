@@ -38,7 +38,7 @@ def mat_apply(field, cols, vec):
     for j, coeff in vec.items():
         for i, mij in cols[j].items():
             val = field.add(out.get(i, field.zero), field.mul(mij, coeff))
-            if val == field.zero:
+            if not val:
                 out.pop(i, None)
             else:
                 out[i] = val

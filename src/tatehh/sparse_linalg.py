@@ -9,15 +9,22 @@ every entry).  Rank is the number of pivots, counted on whichever of the
 matrix and its transpose has fewer rows; the kernel basis comes from
 back-substituting the pivot rows.
 
+Over the rationals an entry is a Fraction or a Python int; an int is an
+integer rational, and the graded maps of the resolution hold only ints
+(twisted_resolution keeps them as integer multiples of the true maps).
+A zero entry is tested by truthiness, which is exact for both and for
+GF(p) residues.
+
 A matrix built with multidegree labels on its rows and columns is graded:
 construction rejects an entry whose row and column labels differ, and the
 rank is the sum of the exact ranks of the blocks of equal label, each
 eliminated on its own without a pre-pass (the blocks of the resolution are
-a few elements a side).  An ungraded matrix is the one-block case.  Over
-the rationals it keeps a modular pre-pass, which computes the rank mod a
-fixed word-sized prime first; that lower bound is certified only when it
-meets the trivial upper bound min(#nonzero rows, #nonzero cols), otherwise
-exact fraction elimination decides.
+a few elements a side): over the rationals by fraction-free elimination on
+integer rows, over GF(p) by the elimination above.  An ungraded matrix is
+the one-block case.  Over the rationals it keeps a modular pre-pass, which
+computes the rank mod a fixed word-sized prime first; that lower bound is
+certified only when it meets the trivial upper bound min(#nonzero rows,
+#nonzero cols), otherwise exact fraction elimination decides.
 
 A ChainComplexWindow is a finite run of degrees with one matrix per adjacent
 pair, mapping degree n to n - 1.  Construction checks shapes and that
@@ -27,6 +34,7 @@ interior degrees only.
 """
 
 import heapq
+from math import gcd, lcm
 
 from .exact_field import PrimeField
 
@@ -64,7 +72,7 @@ class SparseMatrix:
         for i, j, v in entries:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
-            if v == field.zero:
+            if not v:
                 continue
             row = rows.setdefault(i, {})
             if j in row:
@@ -134,6 +142,7 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.shape} with {other.shape}")
         field = self.field
+        add, mul = field.add, field.mul
         out = {}
         for i, row in self._rows.items():
             acc = {}
@@ -142,13 +151,11 @@ class SparseMatrix:
                 if not orow:
                     continue
                 for j, w in orow.items():
-                    val = field.add(acc.get(j, field.zero), field.mul(v, w))
-                    if val == field.zero:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = val
+                    val = acc.get(j)
+                    acc[j] = mul(v, w) if val is None else add(val, mul(v, w))
             for j, val in acc.items():
-                out[(i, j)] = val
+                if val:
+                    out[(i, j)] = val
         return SparseMatrix.from_dict(field, self.nrows, other.ncols, out)
 
     def apply(self, vec):
@@ -160,7 +167,7 @@ class SparseMatrix:
             for j, v in row.items():
                 if j in vec:
                     acc = field.add(acc, field.mul(v, vec[j]))
-            if acc != field.zero:
+            if acc:
                 out[i] = acc
         return out
 
@@ -176,7 +183,7 @@ class SparseMatrix:
         out = {(i, j): v for i, j, v in self.entries()}
         for i, j, v in other.entries():
             val = field.add(out.get((i, j), field.zero), v)
-            if val == field.zero:
+            if not val:
                 out.pop((i, j), None)
             else:
                 out[(i, j)] = val
@@ -214,14 +221,21 @@ class SparseMatrix:
         if self._nnz == 0:
             return 0
         if self._labels is not None:
-            field, row_labels = self.field, self._labels[0]
+            field, row_labels, rows = self.field, self._labels[0], self._rows
+            if field.characteristic == 0:
+                if any(type(v) is not int
+                       for row in rows.values() for v in row.values()):
+                    rows = {i: _integral(row) for i, row in rows.items()}
+                rank = _integer_rank
+            else:
+                def rank(block):
+                    return sum(1 for _ in _eliminate(
+                        field, {t: dict(row) for t, row in enumerate(block)}))
             blocks = {}
-            for i, row in self._rows.items():
-                blocks.setdefault(row_labels[i], {})[i] = row
-            return sum(
-                1 if len(block) == 1 else sum(1 for _ in _eliminate(
-                    field, {i: dict(row) for i, row in block.items()}))
-                for block in blocks.values())
+            for i, row in rows.items():
+                blocks.setdefault(row_labels[i], []).append(row)
+            return sum(1 if len(block) == 1 else rank(block)
+                       for block in blocks.values())
         if self.field.characteristic == 0:
             modular = self._elimination_rows(residues=True)
             if modular is not None:
@@ -295,6 +309,46 @@ class SparseMatrix:
         return list(basis.values())
 
 
+def _integral(row):
+    """A rational row {col: scalar} times the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
+def _integer_rank(rows):
+    """The rank of a list of nonzero integer rows {col: int}, by
+    fraction-free elimination; the rows are not changed.
+
+    Pivot rows are taken in order of their starting length, shortest
+    first.  A pivot row p turns each row t with entry e in the pivot column
+    into p_col t - e p, divided by the gcd of its entries; scaling a row by
+    a nonzero rational keeps the rank, and no fraction is ever formed.
+    """
+    pending = sorted(rows, key=len, reverse=True)
+    rank = 0
+    while pending:
+        prow = pending.pop()
+        rank += 1
+        pj, pv = next(iter(prow.items()))
+        rest = []
+        for row in pending:
+            e = row.get(pj)
+            if e:
+                row = {j: v * pv for j, v in row.items() if j != pj}
+                for j, v in prow.items():
+                    if j != pj:
+                        row[j] = row.get(j, 0) - e * v
+                row = {j: v for j, v in row.items() if v}
+                if not row:
+                    continue
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: v // g for j, v in row.items()}
+            rest.append(row)
+        pending = rest
+    return rank
+
+
 def _eliminate(field, rows):
     """Forward elimination; yields (pivot col, pivot row) once per pivot.
 
@@ -331,7 +385,7 @@ def _eliminate(field, rows):
                 if j == pj:
                     continue
                 val = sub(target.get(j, zero), mul(factor, v))
-                if val == zero:
+                if not val:
                     if j in target:
                         del target[j]
                         col_rows[j].discard(r)

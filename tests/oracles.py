@@ -139,3 +139,99 @@ def intertwiner_space_dim(field, M, N):
                 if any(x != field.zero for x in row):
                     rows.append(row)
     return dim * dim - dense_rank(field, rows)
+
+
+def resolution_generators(c, n):
+    """The exponent vectors i in N^c with |i| = n, first coordinate
+    descending, then the rest recursively: the basis order of P_n."""
+    if c == 1:
+        return [(n,)]
+    return [(h,) + rest for h in range(n, -1, -1)
+            for rest in resolution_generators(c - 1, n - h)]
+
+
+def _column_product(field, left, right):
+    """The product of two square matrices given as lists of column dicts."""
+    out = []
+    for column in right:
+        acc = {}
+        for k, v in column.items():
+            for i, u in left[k].items():
+                acc[i] = field.add(acc.get(i, field.zero), field.mul(u, v))
+        out.append({i: v for i, v in acc.items() if v != field.zero})
+    return out
+
+
+def _column_power(field, cols, k):
+    out = [{i: field.one} for i in range(len(cols))]
+    for _ in range(k):
+        out = _column_product(field, cols, out)
+    return out
+
+
+def _field_power(field, x, k):
+    out = field.one
+    for _ in range(k):
+        out = field.mul(out, x)
+    return out
+
+
+def resolution_map(B, n, variant):
+    """The degree-n map of the twisted-tensor resolution complex, entry by
+    entry in field arithmetic, as {(row, col): scalar}: the boundary from
+    B (x) P_n to B (x) P_{n-1} (homology, n >= 1) or the coboundary from
+    Hom(P_n, B) to Hom(P_{n+1}, B) (cohomology), both over the basis of
+    resolution_generators with one copy of B's basis per generator.
+
+    With D_v(i) = a_v floor(i_v / 2) + (i_v mod 2), e' = e_{i - e_w} and
+    s = (-1)^(i_1 + ... + i_{w-1}), d(e_i) is the sum over w with i_w > 0
+    of s T_w, where alpha = prod_{v<w} q_vw^{D_v}, beta = prod_{v>w}
+    q_wv^{D_v} and
+
+        T_w = alpha x_w e' - beta e' x_w                       (i_w odd),
+        T_w = sum_j alpha^j beta^(a_w-1-j) x_w^j e' x_w^(a_w-1-j)  (i_w even).
+
+    A term x_w^j e' x_w^k acts on a B summand as b -> x_w^k b x_w^j in
+    homology and f -> x_w^j f x_w^k in cohomology.  Nothing is memoised or
+    rescaled: every summand is recomputed from the formula.
+    """
+    A, field, dim = B.algebra, B.field, B.dim
+    homology = variant == "homology"
+    top = n if homology else n + 1
+    targets = {i: s for s, i in
+               enumerate(resolution_generators(A.c, top - 1))}
+    entries = {}
+    for t, i in enumerate(resolution_generators(A.c, top)):
+        for w, a in enumerate(A.exponents):
+            if not i[w]:
+                continue
+            s = targets[i[:w] + (i[w] - 1,) + i[w + 1:]]
+            depths = [b * (k // 2) + k % 2 for b, k in zip(A.exponents, i)]
+            alpha, beta = field.one, field.one
+            for v in range(w):
+                alpha = field.mul(alpha, _field_power(field, A.q[v][w],
+                                                      depths[v]))
+            for v in range(w + 1, A.c):
+                beta = field.mul(beta, _field_power(field, A.q[w][v],
+                                                    depths[v]))
+            sign = field.one if sum(i[:w]) % 2 == 0 else \
+                field.neg(field.one)
+            if i[w] % 2:
+                terms = [(alpha, 1, 0), (field.neg(beta), 0, 1)]
+            else:
+                terms = [(field.mul(_field_power(field, alpha, j),
+                                    _field_power(field, beta, a - 1 - j)),
+                          j, a - 1 - j) for j in range(a)]
+            for scalar, j, k in terms:
+                left, right = (k, j) if homology else (j, k)
+                sandwich = _column_product(
+                    field, _column_power(field, B.left[w], left),
+                    _column_power(field, B.right[w], right))
+                scalar = field.mul(sign, scalar)
+                for col, column in enumerate(sandwich):
+                    for row, v in column.items():
+                        key = (s * dim + row, t * dim + col) if homology \
+                            else (t * dim + row, s * dim + col)
+                        entries[key] = field.add(entries.get(key, field.zero),
+                                                 field.mul(scalar, v))
+    return {key: v for key, v in entries.items() if v != field.zero}

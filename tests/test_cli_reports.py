@@ -5,8 +5,11 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,3 +468,17 @@ def test_fuzz_spec_and_argv_exit_with_documented_codes(text, argv, budget):
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE,
                                   EXIT_BUDGET)
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    spec = tmp_path / "codim2.json"
+    spec.write_text(CODIM2_SPEC)
+    src = str(Path(tate_engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "tatehh", "dims", "--spec", str(spec),
+         "--min", "0", "--max", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[0] == "degree,dimension,method,source"

@@ -23,6 +23,22 @@ def test_rational_basics():
     assert QQ.to_str(Fraction(-3, 7)) == "-3/7"
 
 
+def test_rational_inverse_and_quotient_of_ints_are_fractions():
+    """A graded map over QQ holds Python ints; dividing one must stay
+    exact instead of producing a float."""
+    for x, y in [(3, 1), (-4, 6), (Fraction(2, 3), 5), (7, Fraction(-1, 2))]:
+        quotient = QQ.div(x, y)
+        assert type(quotient) is Fraction
+        assert quotient == Fraction(x) / Fraction(y)
+    for x in (3, -5, Fraction(-2, 7)):
+        assert type(QQ.inv(x)) is Fraction
+        assert QQ.inv(x) == 1 / Fraction(x)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
 def test_rational_parse_rejects_garbage():
     with pytest.raises(ValueError):
         QQ.parse("q")

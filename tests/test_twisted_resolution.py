@@ -19,6 +19,8 @@ from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
 from tatehh.twisted_resolution import ResolutionWindow, chain_space_dim, \
     generators
 
+from oracles import resolution_map
+
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 # every shape with c <= 3 and dim <= 8
 SHAPES = [(a,) for a in range(2, 9)] + \
@@ -126,16 +128,62 @@ def test_entry_across_multidegrees_fails_window_construction(monkeypatch,
     original = twisted_resolution._block
 
     def slipped(B, *args):
-        columns = original(B, *args)
-        column = next(column for column in columns if column)
-        row = next(iter(column))
-        column[(row + 1) % B.dim] = column.pop(row)
-        return columns
+        den, entries = original(B, *args)
+        (row, col, v), rest = entries[0], entries[1:]
+        taken = {r for r, c, _ in rest if c == col}
+        target = next(r for r in range(row + 1, row + B.dim)
+                      if r % B.dim not in taken) % B.dim
+        return den, [(target, col, v)] + rest
 
     monkeypatch.setattr(twisted_resolution, "_block", slipped)
     A = codim2_algebra(QQ, 2, 3, Fraction(2))
     lo, hi = (2, 3) if variant == "homology" else (-4, -3)
     with pytest.raises(ValueError, match="multidegree"):
+        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(qcis(), st.integers(-2, 2))
+def test_property_graded_maps_are_scaled_reference_maps(A, j):
+    """Each graded map of the spliced window is one nonzero scalar, the
+    recorded scale, times the map of the unscaled reference formula."""
+    window = TateWindow(A, j, -5, 5, DEFAULT_BUDGET, ResolutionWindow)
+    homology, cohomology = nakayama_module(A, j), nakayama_module(A, j + 1)
+    for n, m in window.maps.items():
+        if abs(n) < 2:
+            continue
+        reference = resolution_map(homology, n, "homology") if n > 0 else \
+            resolution_map(cohomology, -n - 1, "cohomology")
+        scale = window.scales[n]
+        assert scale != 0
+        assert {(i, k): v for i, k, v in m.entries()} == {
+            key: A.field.mul(scale, v) for key, v in reference.items()}
+        assert {(i, k): v for i, k, v in window.differential(n).entries()} \
+            == reference
+
+
+@pytest.mark.parametrize("field, q", [(QQ, Fraction(2)), (PrimeField(5), 2)],
+                         ids=["QQ", "GF5"])
+@pytest.mark.parametrize("variant", ["homology", "cohomology"])
+def test_doubled_summand_block_fails_window_construction(monkeypatch, field,
+                                                         q, variant):
+    """Scaling one memoised summand block by 2 breaks d o d = 0, and the
+    composition check at construction catches it."""
+    original = twisted_resolution._block
+    doubled_once = []
+
+    def doubled(B, *args):
+        den, entries = original(B, *args)
+        if not doubled_once:
+            doubled_once.append(args)
+            entries = [(row, col, B.field.mul(2, v))
+                       for row, col, v in entries]
+        return den, entries
+
+    monkeypatch.setattr(twisted_resolution, "_block", doubled)
+    A = codim2_algebra(field, 2, 3, q)
+    lo, hi = (2, 4) if variant == "homology" else (-5, -3)
+    with pytest.raises(ValueError, match="do not compose to zero"):
         TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
 
 
@@ -166,6 +214,19 @@ def test_c3_spec_deep_tables(variant, k, nonzero):
     assert [(e.degree, e.dimension, e.method, e.source)
             for e in table.entries] == \
         [(n, nonzero.get(n, 0), "resolution", "") for n in range(-20, 21)]
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2)], ids=["2", "1/2"])
+def test_inverse_nakayama_homology_vanishes_to_degree_48(a, b, q):
+    """The twisted homology of a generic two-generator algebra vanishes in
+    every positive degree.  These windows carry the largest powers of 2 of
+    the benchmark's deep requests; a modular pre-pass once failed on them
+    from degree 38."""
+    table = tate_dims(TateRequest(codim2_algebra(QQ, a, b, q), 1, 48,
+                                  nakayama_power=-1, method="complex_only"))
+    assert [(e.dimension, e.method) for e in table.entries] == \
+        [(0, "resolution")] * 48
 
 
 def test_generators_and_space_sizes():
@@ -316,3 +377,23 @@ def test_cross_validate_dumps_cohomology_maps_around_degree(monkeypatch,
         d: sorted(f"degree{d}_{name}_map{deg}.txt"
                   for name in ("oracle", "resolution") for deg in (-d - 1, -d))
         for d in (1, 2)}
+
+
+def test_cross_validate_dumps_the_true_differential(monkeypatch, tmp_path):
+    """A graded window holds its maps times an integer; a dump divides the
+    scale back out and prints the differential itself."""
+    A = codim2_algebra(QQ, 2, 2, Fraction(2, 3))
+    corrupt_resolution(monkeypatch)
+    rep = cross_validate(TateRequest(A, 2, 2, nakayama_power=1),
+                         dump_dir=str(tmp_path))
+    assert not rep["all_agree"]
+    B = nakayama_module(A, 1)
+    for deg in (2, 3):
+        reference = resolution_map(B, deg, "homology")
+        expected = SparseMatrix(QQ, chain_space_dim(2, A.dim, deg - 1),
+                                chain_space_dim(2, A.dim, deg),
+                                ((i, k, v) for (i, k), v in reference.items()))
+        path = tmp_path / f"degree2_resolution_map{deg}.txt"
+        assert path.read_text(encoding="ascii") == expected.dump_coordinates()
+    window = TateWindow(A, 1, 2, 2, DEFAULT_BUDGET, ResolutionWindow)
+    assert window.scales[2] > 1
