@@ -195,7 +195,3 @@ def scalar_pow(field, x, n):
         base = field.mul(base, base)
         n >>= 1
     return result
-
-
-def is_root_of_unity(field, x):
-    return field.is_root_of_unity(x)

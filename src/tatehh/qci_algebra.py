@@ -139,10 +139,6 @@ class QciAlgebra:
         return list(self._exps_cache)
 
     @property
-    def unit_index(self):
-        return 0
-
-    @property
     def top_index(self):
         """Index of the socle monomial x_c^{a_c-1} ... x_1^{a_1-1}."""
         return self.dim - 1

@@ -1,30 +1,33 @@
 """Exact sparse matrices, ranks, kernels, and chain-complex windows.
 
 Matrices are immutable coordinate-format collections of nonzero entries over
-an exact field.  One forward elimination serves rank and kernel: each pivot
-is taken in a shortest remaining row, at the column of that row with the
-fewest remaining rows, ties going to the lowest index (a Markowitz-style
-rule that bounds fill by the pivot's row and column counts without scanning
-every entry).  Rank is the number of pivots, counted on whichever of the
-matrix and its transpose has fewer rows; the kernel basis comes from
-back-substituting the pivot rows.
+an exact field.  Over the rationals an entry is a Fraction or a Python int;
+an int is an integer rational, and the graded maps of the resolution hold
+only ints (twisted_resolution keeps them as integer multiples of the true
+maps).  A zero entry is tested by truthiness, which is exact for both and
+for GF(p) residues.
 
-Over the rationals an entry is a Fraction or a Python int; an int is an
-integer rational, and the graded maps of the resolution hold only ints
-(twisted_resolution keeps them as integer multiples of the true maps).
-A zero entry is tested by truthiness, which is exact for both and for
-GF(p) residues.
+Rank and kernel come from one of two eliminations, chosen by the matrix
+itself.  An ungraded matrix is eliminated whole: each pivot is taken in a
+shortest remaining row, at the column of that row with the fewest remaining
+rows, ties going to the lowest index (a Markowitz-style rule that bounds
+fill by the pivot's row and column counts without scanning every entry).
+Rank is the number of pivots, counted on whichever of the matrix and its
+transpose has fewer rows; the kernel basis comes from back-substituting the
+pivot rows.  A matrix built with multidegree labels on its rows and columns
+is graded: construction rejects an entry whose row and column labels
+differ, and the rank is the sum of the ranks of the blocks of equal label.
+The blocks of the resolution are a few elements a side, so each is
+eliminated by a plain loop, pivot rows shortest first, without the heap
+and column index that large ungraded matrices need.
 
-A matrix built with multidegree labels on its rows and columns is graded:
-construction rejects an entry whose row and column labels differ, and the
-rank is the sum of the exact ranks of the blocks of equal label, each
-eliminated on its own without a pre-pass (the blocks of the resolution are
-a few elements a side): over the rationals by fraction-free elimination on
-integer rows, over GF(p) by the elimination above.  An ungraded matrix is
-the one-block case.  Over the rationals it keeps a modular pre-pass, which
-computes the rank mod a fixed word-sized prime first; that lower bound is
-certified only when it meets the trivial upper bound min(#nonzero rows,
-#nonzero cols), otherwise exact fraction elimination decides.
+Both are fraction-free.  A row t with entry e in the column of pivot row r,
+pivot entry pv, becomes pv t - e r: a nonzero multiple of t - (e/pv) r, so
+the zero pattern, and with it every pivot choice and the kernel basis, is
+that of dividing elimination.  Over the rationals the rows are first
+cleared of denominators and each updated row is divided by the gcd of its
+entries, so no Fraction is formed until back-substitution; over GF(p) the
+update is reduced mod p.
 
 A ChainComplexWindow is a finite run of degrees with one matrix per adjacent
 pair, mapping degree n to n - 1.  Construction checks shapes and that
@@ -35,13 +38,6 @@ interior degrees only.
 
 import heapq
 from math import gcd, lcm
-
-from .exact_field import PrimeField
-
-# fixed word-sized prime for the rational pre-pass, kept constant so repeated
-# runs eliminate identically
-_PREPASS_PRIME = 2 ** 61 - 1
-_PREPASS_FIELD = PrimeField(_PREPASS_PRIME)
 
 
 class SparseMatrix:
@@ -215,61 +211,37 @@ class SparseMatrix:
         return self._rank
 
     def _compute_rank(self):
-        """The sum of the block ranks.  Graded blocks are tiny and are
-        eliminated exactly; only an ungraded matrix, one block, gets the
-        modular pre-pass."""
+        """An ungraded matrix is eliminated whole, as its transpose when
+        that has fewer rows (the rank is the same, and fewer, longer rows
+        take less memory); a graded one is the sum of its block ranks."""
         if self._nnz == 0:
             return 0
-        if self._labels is not None:
-            field, row_labels, rows = self.field, self._labels[0], self._rows
-            if field.characteristic == 0:
-                if any(type(v) is not int
-                       for row in rows.values() for v in row.values()):
-                    rows = {i: _integral(row) for i, row in rows.items()}
-                rank = _integer_rank
-            else:
-                def rank(block):
-                    return sum(1 for _ in _eliminate(
-                        field, {t: dict(row) for t, row in enumerate(block)}))
-            blocks = {}
-            for i, row in rows.items():
-                blocks.setdefault(row_labels[i], []).append(row)
-            return sum(1 if len(block) == 1 else rank(block)
-                       for block in blocks.values())
-        if self.field.characteristic == 0:
-            modular = self._elimination_rows(residues=True)
-            if modular is not None:
-                rated = sum(1 for _ in _eliminate(_PREPASS_FIELD, modular))
-                cols = {j for row in self._rows.values() for j in row}
-                if rated == min(len(self._rows), len(cols)):
-                    return rated
-        return sum(1 for _ in _eliminate(self.field, self._elimination_rows()))
+        field = self.field
+        if self._labels is None:
+            rows = self._elimination_rows(self.nrows > self.ncols)
+            return sum(1 for _ in _eliminate(field, rows))
+        rows = self._rows
+        if field.characteristic == 0 and any(
+                type(v) is not int for row in rows.values()
+                for v in row.values()):
+            rows = {i: _integral(row) for i, row in rows.items()}
+        row_labels, blocks = self._labels[0], {}
+        for i, row in rows.items():
+            blocks.setdefault(row_labels[i], []).append(row)
+        return sum(1 if len(block) == 1 else _block_rank(field, block)
+                   for block in blocks.values())
 
-    def _elimination_rows(self, residues=False):
-        """A fresh {row: {col: scalar}} copy of the matrix, or of its
-        transpose when that has fewer rows: the rank is the same, and fewer,
-        longer rows take less memory.  With ``residues`` each scalar is
-        reduced mod the pre-pass prime and zero residues are dropped: the
-        same matrix mod p, whose rank is a lower bound on the rational rank;
-        None if a denominator vanishes there (exact elimination then decides
-        alone).
-        """
-        flip = self.nrows > self.ncols
-        p = _PREPASS_PRIME
-        out = {}
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                if residues:
-                    if v.denominator % p == 0:
-                        return None
-                    v = v.numerator * pow(v.denominator, -1, p) % p
-                    if not v:
-                        continue
-                if flip:
-                    out.setdefault(j, {})[i] = v
-                else:
-                    out.setdefault(i, {})[j] = v
-        return out
+    def _elimination_rows(self, transpose=False):
+        """A fresh {row: {col: scalar}} copy of the matrix or of its
+        transpose, each row cleared of denominators over the rationals."""
+        rows = self._rows
+        if transpose:
+            rows = {}
+            for i, row in self._rows.items():
+                for j, v in row.items():
+                    rows.setdefault(j, {})[i] = v
+        clear = _integral if self.field.characteristic == 0 else dict
+        return {i: clear(row) for i, row in rows.items()}
 
     def kernel_dim(self):
         return self.ncols - self.rank()
@@ -281,8 +253,7 @@ class SparseMatrix:
         with entry 1 at the free column.
         """
         field = self.field
-        rows = {i: dict(row) for i, row in self._rows.items()}
-        pivots = list(_eliminate(field, rows))
+        pivots = list(_eliminate(field, self._elimination_rows()))
         # back-substitution: a pivot row mentions only its own column, free
         # columns and columns pivoted after it, so in reverse order each
         # pivot unknown becomes a combination of free unknowns
@@ -315,15 +286,17 @@ def _integral(row):
     return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
 
 
-def _integer_rank(rows):
-    """The rank of a list of nonzero integer rows {col: int}, by
-    fraction-free elimination; the rows are not changed.
+def _block_rank(field, rows):
+    """The rank of a list of nonzero rows {col: scalar}, integers over the
+    rationals, by fraction-free elimination; the rows are not changed.
 
     Pivot rows are taken in order of their starting length, shortest
-    first.  A pivot row p turns each row t with entry e in the pivot column
-    into p_col t - e p, divided by the gcd of its entries; scaling a row by
-    a nonzero rational keeps the rank, and no fraction is ever formed.
+    first, each at its first column.  A pivot row r with pivot entry pv
+    turns each row t with entry e in the pivot column into pv t - e r,
+    reduced mod p over GF(p) and divided by the gcd of its entries over the
+    rationals.
     """
+    p = field.characteristic
     pending = sorted(rows, key=len, reverse=True)
     rank = 0
     while pending:
@@ -338,12 +311,17 @@ def _integer_rank(rows):
                 for j, v in prow.items():
                     if j != pj:
                         row[j] = row.get(j, 0) - e * v
-                row = {j: v for j, v in row.items() if v}
-                if not row:
-                    continue
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {j: v // g for j, v in row.items()}
+                if p:
+                    row = {j: v % p for j, v in row.items() if v % p}
+                    if not row:
+                        continue
+                else:
+                    row = {j: v for j, v in row.items() if v}
+                    if not row:
+                        continue
+                    g = gcd(*row.values())
+                    if g > 1:
+                        row = {j: v // g for j, v in row.items()}
             rest.append(row)
         pending = rest
     return rank
@@ -352,15 +330,17 @@ def _integer_rank(rows):
 def _eliminate(field, rows):
     """Forward elimination; yields (pivot col, pivot row) once per pivot.
 
-    ``rows`` maps row index to {col: scalar} and is consumed.  Each pivot is
-    taken in a shortest remaining row, at its column with the fewest
-    remaining rows, ties going to the lowest index; a heap keyed by (row
-    length, row) finds the row, and entries left stale by a length change
-    are skipped when popped.  A yielded pivot row holds the pivot column
-    and columns not pivoted yet.
+    ``rows`` maps row index to {col: scalar}, integers over the rationals,
+    and is consumed.  Each pivot is taken in a shortest remaining row, at
+    its column with the fewest remaining rows, ties going to the lowest
+    index; a heap keyed by (row length, row) finds the row, and entries left
+    stale by a length change are skipped when popped.  A row t with entry e
+    in the column of pivot row r, pivot entry pv, becomes pv t - e r,
+    reduced mod p over GF(p) and divided by the gcd of its entries over the
+    rationals.  A yielded pivot row holds the pivot column and columns not
+    pivoted yet.
     """
-    zero = field.zero
-    sub, mul = field.sub, field.mul
+    p = field.characteristic
     col_rows = {}
     for i, row in rows.items():
         for j in row:
@@ -376,15 +356,20 @@ def _eliminate(field, rows):
         pj = min(prow, key=lambda j: (len(col_rows[j]), j))
         for j in prow:
             col_rows[j].discard(pi)
-        inv = field.inv(prow[pj])
+        pv = prow[pj]
         for r in col_rows.pop(pj):
             target = rows[r]
             before = len(target)
-            factor = mul(target.pop(pj), inv)
+            e = target.pop(pj)
+            if pv != 1:
+                for j, v in target.items():
+                    target[j] = v * pv % p if p else v * pv
             for j, v in prow.items():
                 if j == pj:
                     continue
-                val = sub(target.get(j, zero), mul(factor, v))
+                val = target.get(j, 0) - e * v
+                if p:
+                    val %= p
                 if not val:
                     if j in target:
                         del target[j]
@@ -395,7 +380,13 @@ def _eliminate(field, rows):
                     target[j] = val
             if not target:
                 del rows[r]
-            elif len(target) != before:
+                continue
+            if not p:
+                g = gcd(*target.values())
+                if g > 1:
+                    for j, v in target.items():
+                        target[j] = v // g
+            if len(target) != before:
                 heapq.heappush(heap, (len(target), r))
         yield pj, prow
 

@@ -9,7 +9,6 @@ from tatehh.exact_field import (
     QQ,
     PrimeField,
     RationalField,
-    is_root_of_unity,
     scalar_pow,
 )
 
@@ -146,13 +145,13 @@ def test_field_axioms_on_samples():
 
 
 def test_root_of_unity_detection():
-    assert is_root_of_unity(QQ, Fraction(1))
-    assert is_root_of_unity(QQ, Fraction(-1))
-    assert not is_root_of_unity(QQ, Fraction(2))
-    assert not is_root_of_unity(QQ, Fraction(1, 2))
+    assert QQ.is_root_of_unity(Fraction(1))
+    assert QQ.is_root_of_unity(Fraction(-1))
+    assert not QQ.is_root_of_unity(Fraction(2))
+    assert not QQ.is_root_of_unity(Fraction(1, 2))
     F = PrimeField(5)
-    assert is_root_of_unity(F, 2)
+    assert F.is_root_of_unity(2)
     with pytest.raises(ValueError):
-        is_root_of_unity(QQ, QQ.zero)
+        QQ.is_root_of_unity(QQ.zero)
     with pytest.raises(ValueError):
-        is_root_of_unity(F, 0)
+        F.is_root_of_unity(0)

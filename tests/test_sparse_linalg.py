@@ -45,14 +45,16 @@ def test_rank_trivial_cases():
 
 
 def test_rank_needs_exact_fallback():
-    # rank 1 over Q: the modular lower bound cannot meet the upper bound 2
+    # rank 1 over Q, below min(nonzero rows, nonzero cols) = 2: a rank read
+    # off that bound would be wrong
     M = SparseMatrix(QQ, 2, 2, [(0, 0, Fraction(1)), (0, 1, Fraction(2)),
                                 (1, 0, Fraction(2)), (1, 1, Fraction(4))])
     assert M.rank() == 1
 
 
 def test_rank_of_entry_vanishing_mod_prepass_prime():
-    # the pre-pass prime 2^61 - 1 divides the entry, so its residue is 0
+    # the prime 2^61 - 1 divides the entry, so a rank taken modulo that
+    # prime would miss it
     assert SparseMatrix(QQ, 1, 1, [(0, 0, Fraction(2**61 - 1))]).rank() == 1
 
 
@@ -61,7 +63,7 @@ def test_rank_with_vanishing_residue_beside_unit():
     # complex for exponents (3, 2) and q = 2
     tiny = Fraction(-(2**61 - 1), 4)
     assert SparseMatrix(QQ, 1, 2, [(0, 0, tiny), (0, 1, QQ.one)]).rank() == 1
-    # rank 1 mod p stays below the bound 2, so exact elimination decides
+    # rank 1 mod 2^61 - 1, rank 2 over Q
     assert SparseMatrix(QQ, 2, 2, [(0, 0, tiny), (1, 1, QQ.one)]).rank() == 2
 
 
@@ -169,8 +171,10 @@ def test_dump_coordinates_format():
 PREPASS_PRIME = 2 ** 61 - 1
 QQ_SCALARS = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [
     Fraction(1, 2), Fraction(-2, 3)]
-# residue 0 mod the pre-pass prime, or a denominator vanishing there: half
-# of all rational entries, so that the pre-pass often falls short
+# large prime numerators and denominators (2^61 - 1 is prime): half of all
+# rational entries, so that clearing denominators and dividing by the gcd
+# meet big integers, and a rank taken modulo that prime would often fall
+# short
 QQ_PREPASS_SCALARS = [
     Fraction(PREPASS_PRIME), Fraction(-PREPASS_PRIME, 4),
     Fraction(2 * PREPASS_PRIME, 3), Fraction(1, PREPASS_PRIME)]
@@ -303,6 +307,35 @@ def test_property_kernel_basis(M):
         previous = owned[0]
     dense = [[vec.get(j, field.zero) for j in range(M.ncols)] for vec in basis]
     assert dense_rank(field, dense) == len(basis)
+
+
+def nonzero_scalars(field):
+    if field.characteristic:
+        return st.integers(1, field.p - 1)
+    big = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80).filter(bool),
+                    st.integers(1, 2 ** 80))
+    return st.one_of(scalars(field), big)
+
+
+@st.composite
+def row_scaled_pairs(draw, field):
+    M = draw(st.one_of(plain_matrices(field), low_rank_matrices(field),
+                       block_diagonal_matrices(field)))
+    factors = [draw(nonzero_scalars(field)) for _ in range(M.nrows)]
+    scaled = SparseMatrix(field, M.nrows, M.ncols,
+                          ((i, j, field.mul(factors[i], v))
+                           for i, j, v in M.entries()))
+    return M, scaled
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(row_scaled_pairs))
+def test_property_row_scaling_keeps_rank_and_kernel_basis(pair):
+    # elimination may scale its rows by any nonzero scalar: it clears
+    # denominators and divides by gcds over QQ
+    M, scaled = pair
+    assert scaled.rank() == M.rank()
+    assert scaled.kernel_basis() == M.kernel_basis()
 
 
 # ---------------------------------------------------------------------------
