@@ -24,6 +24,7 @@ are explicit.
 """
 
 import argparse
+import functools
 import json
 import sys
 from math import prod
@@ -456,7 +457,10 @@ def _add_common(sub, spec=True):
                      help="chain-space element budget")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser every ``main`` call reads, built on first use: each
+    build leaves reference cycles (argparse formatters) for the collector."""
     parser = argparse.ArgumentParser(
         prog="tatehh",
         description="Stable Hochschild dimension tables for quantum "

@@ -18,19 +18,23 @@ routed to one terminal:
   formula    a closed-form theorem whose hypotheses the algebra satisfies,
              valid on the whole integer line (the published statements carry
              their own degree reflection);
-  resolution the spliced complex of the twisted-tensor resolution
-             (twisted_resolution), within the element budget;
+  resolution the twisted-tensor resolution (twisted_resolution), within
+             the element budget: chain degrees >= 1 and <= -2 by the label
+             census of each half (Census, no matrix), the splice degrees 0
+             and -1 from a TateWindow on [-1, 0], which builds no bimodule;
   oracle     the spliced complex of the bar resolution (hochschild_bar),
              within the element budget; only the bar_only policy routes to
              it, so it stays an independent check (cross_validate).
 
-A request builds at most one window.  The duality theorems are checked, not
-used: the verify duality suite compares degree-0 cohomology with the linear
-dual recognised as a Nakayama twist (recognize_nakayama_power, below).  The
-paper's two-generator complex (codim2_complex.DeltaComplex) checks the
-resolution's nu^-1 homology in the verify codim2 suite and the tests.
-Degrees that no permitted route can serve are marked unavailable with a
-reason instead of being guessed.
+A request builds at most one window and one census per resolution half.
+TateWindow over the whole requested range stays the reference that
+cross_validate's dumps and the tests read.  The duality theorems are
+checked, not used: the verify duality suite compares degree-0 cohomology
+with the linear dual recognised as a Nakayama twist
+(recognize_nakayama_power, below).  The paper's two-generator complex
+(codim2_complex.DeltaComplex) checks the resolution's nu^-1 homology in
+the verify codim2 suite and the tests.  Degrees that no permitted route
+can serve are marked unavailable with a reason instead of being guessed.
 """
 
 from dataclasses import dataclass
@@ -41,7 +45,7 @@ from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix, d1_matrix
 from .qci_algebra import mat_apply, twisted_bimodule
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
-from .twisted_resolution import ResolutionWindow
+from .twisted_resolution import Census, ResolutionWindow
 
 _POLICIES = {
     "auto": ("formula", "resolution"),
@@ -228,7 +232,9 @@ def recognize_nakayama_power(A, M, expected_first=0, span=3):
 
 
 class TateWindow(ChainComplexWindow):
-    """The spliced complex C(j) on the degrees lo - 1 .. hi + 1.
+    """The spliced complex C(j) on the degrees lo - 1 .. hi + 1: the
+    resolution route's splice degrees, the bar route's every degree, and
+    the reference for the label census.
 
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
     the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution's
@@ -298,7 +304,8 @@ class TateWindow(ChainComplexWindow):
 
 
 class _Session:
-    """One tate_dims evaluation: routes every degree, then builds one window.
+    """One tate_dims evaluation: routes every degree, then serves the ones
+    a window terminal takes.
 
     ``terminals`` narrows the evaluation to those terminals instead of the
     request's policy; cross_validate runs one session per terminal.
@@ -308,11 +315,15 @@ class _Session:
         self.req = req
         self.terminals = _POLICIES[req.method] if terminals is None \
             else terminals
-        self.window = None
 
     def chain_degree(self, n):
         """The degree of the spliced complex holding degree n."""
         return n if self.req.variant == "homology" else -n - 1
+
+    def twist(self):
+        """The j of the spliced complex C(j) that holds the request."""
+        k = self.req.nakayama_power
+        return k if self.req.variant == "homology" else k - 1
 
     def run(self):
         req, A = self.req, self.req.algebra
@@ -337,13 +348,32 @@ class _Session:
                         BudgetExceeded(n, needed, req.budget))))
         if served:
             chain = [self.chain_degree(n) for n in served]
-            k = req.nakayama_power
-            j = k if req.variant == "homology" else k - 1
-            self.window = TateWindow(A, j, min(chain), max(chain),
-                                     req.budget, _WINDOWS[kind])
-            entries.extend(TableEntry(n, self.window.homology_dim(t), kind)
+            dims = self._census(chain) if kind == "resolution" else \
+                self._window(chain, _WINDOWS[kind])
+            entries.extend(TableEntry(n, dims[t], kind)
                            for n, t in zip(served, chain))
         return DimensionTable(req, entries)
+
+    def _window(self, chain, window_kind):
+        """H_t for each chain degree t from one spliced window."""
+        window = TateWindow(self.req.algebra, self.twist(), min(chain),
+                            max(chain), self.req.budget, window_kind)
+        return {t: window.homology_dim(t) for t in chain}
+
+    def _census(self, chain):
+        """H_t by label census outside the splice, and from a spliced
+        resolution window on [-1, 0], which builds no bimodule, inside it."""
+        A, j = self.req.algebra, self.twist()
+        splice = [t for t in chain if -1 <= t <= 0]
+        dims = self._window(splice, ResolutionWindow) if splice else {}
+        for twist, variant, degrees in (
+                (j, "homology", [t for t in chain if t >= 1]),
+                (j + 1, "cohomology", [-t - 1 for t in chain if t <= -2])):
+            if degrees:
+                census = Census(nakayama_module(A, twist), variant, degrees)
+                dims.update((n if variant == "homology" else -n - 1,
+                             census.dimension(n)) for n in degrees)
+        return dims
 
 
 def tate_dims(req):
@@ -357,8 +387,8 @@ def cross_validate(req, dump_dir=None):
     Returns {"degrees": [...], "all_agree": bool}; each degree reports the
     value of every terminal that serves it, keyed by the terminal's name.
     On disagreement the maps into and out of that degree's chain space are
-    dumped from each window that serves it, under dump_dir (when given),
-    and the paths are listed.
+    dumped from a reference window of each window terminal that serves it,
+    under dump_dir (when given), and the paths are listed.
     """
     sessions = {name: _Session(req, terminals=(name,))
                 for name in ("formula", "resolution", "oracle")}
@@ -370,24 +400,26 @@ def cross_validate(req, dump_dir=None):
         row = {"degree": n, "values": values,
                "agree": len(set(values.values())) <= 1}
         if not row["agree"] and dump_dir is not None:
-            row["dumps"] = _dump_disagreement(sessions, n, dump_dir)
+            row["dumps"] = _dump_disagreement(
+                sessions["resolution"], n,
+                [name for name in _WINDOWS if name in values], dump_dir)
         report.append(row)
     return {"degrees": report, "all_agree": all(r["agree"] for r in report)}
 
 
-def _dump_disagreement(sessions, degree, dump_dir):
-    """Write the maps into and out of the chain space of ``degree`` from
-    each window that serves it, one file per map, named by its degree in
-    the spliced complex; a graded map is written unscaled."""
+def _dump_disagreement(session, degree, names, dump_dir):
+    """Write the maps into and out of the chain space of ``degree`` from a
+    reference window of each named window terminal, one file per map,
+    named by its degree in the spliced complex; a graded map is written
+    unscaled."""
     import os
 
     os.makedirs(dump_dir, exist_ok=True)
+    req, t = session.req, session.chain_degree(degree)
     paths = []
-    for name in _WINDOWS:
-        session = sessions[name]
-        win, t = session.window, session.chain_degree(degree)
-        if win is None or not win.lo < t < win.hi:
-            continue
+    for name in names:
+        win = TateWindow(req.algebra, session.twist(), t, t, req.budget,
+                         _WINDOWS[name])
         for deg in (t, t + 1):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")

@@ -46,9 +46,49 @@ e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
 every differential preserves it, since x_w^j e' x_w^k has j + k =
 D_w(i) - D_w(i - e_w).  The same callable's ``multidegrees(n)`` lists these
 labels once per degree; a map built with them (``graded``) is split into
-blocks of at most 2^c basis elements a side (per w, at most two values of
-i_w fit a multidegree) and ranked block by block, over QQ by fraction-free
-integer elimination.
+blocks of at most 2^c basis elements a side and ranked block by block.
+That is the spliced reference window's path (tate_engine.TateWindow); the
+route itself counts (Census).
+
+Label census.  Write delta = D_w(i) - D_w(i - e_w): 1 for odd i_w, a_w - 1
+for even i_w.  Per w, a label lambda allows one value of i_w or two
+adjacent ones, with m_w then fixed (in homology, with lambda_w = a_w t + r
+and 0 <= r < a_w: i_w in {2t, 2t + 1} if r > 0, i_w in {2t - 1, 2t} if
+r = 0 < t, and i_w = 0 alone if lambda_w = 0), so the label-lambda part of
+a half is a cube, the product of c segments.  A w-edge joins x^m e_i to
+x^(m + delta e_w) e_(i - e_w) in homology and x^(m - delta e_w) e_(i - e_w)
+in cohomology, and d = sum_w d_w with d_w moving along segment w.  So
+d o d = 0 says exactly that every square of two directions anticommutes.
+
+Cube argument: if the w-edges of a label touching degree n are all
+nonzero, d_w is bijective from the upper w-face onto the lower one in
+degrees n + 1 -> n and n -> n - 1, and H_n of the label part is 0.  A
+cycle z is z_up + z_low over the two faces; take x in the upper face of
+degree n + 1 with d_w x = z_low; then z - dx lies in the upper face, is a
+cycle, and so has zero d_w image, so it is 0.  This uses d o d = 0 on
+degree n + 1 only.  If every direction with two vertices has zero edges,
+d vanishes on the label part.  Hence
+
+    dim H_n = #{x^m e_i, |i| = n : every direction in which it has a
+               neighbour in its label has a zero edge},
+
+provided the w-edges of one label touching degree n agree in being zero.
+The squares whose upper vertex lies in degree n + 1 link all those edges
+(two opposite edges of such a square are parallel edges at adjacent
+levels), so Census checks, for each counted degree n, that every such
+square anticommutes exactly (the composition check of a window, d_n o
+d_(n+1) = 0) and that its opposite edges agree in being zero; it also
+checks once per block key that every entry of a block joins the monomials
+above.  Each failure raises ValueError.
+
+Edge lemma (not used by Census, which reads the blocks; tests/oracles.py
+evaluates it, and the tests pin every block's zero pattern to it).  For
+B = nu^j with Nakayama scalars n = A.nakayama(j), A_w(lambda) =
+prod_{v<w} q_vw^lambda_v and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v,
+every w-edge at label lambda is +-(a unit) times E, with E = A_w - B_w for
+odd upper i_w and E = sum_{t<a_w} A_w^t B_w^(a_w-1-t) for even upper i_w.
+Whether an edge is zero therefore depends only on w, the parity of i_w
+and lambda_v for v != w.
 """
 
 from fractions import Fraction
@@ -196,9 +236,13 @@ class _Assembly:
     def block(self, i, w):
         key = (w, i[:w] + (i[w] % 2,) + i[w + 1:])
         if key not in self.blocks:
-            self.blocks[key] = _block(self.B, self.sandwiches, self.power,
-                                      key[1], w, self.variant)
+            self.blocks[key] = self.evaluate(key)
         return self.blocks[key]
+
+    def evaluate(self, key):
+        """The block under ``key`` (w, i with i_w mod 2), not memoised."""
+        w, i = key
+        return _block(self.B, self.sandwiches, self.power, i, w, self.variant)
 
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology
@@ -257,3 +301,140 @@ class ResolutionWindow(HochschildWindow):
     @staticmethod
     def differentials(B, variant):
         return _Assembly(B, variant)
+
+
+class Census:
+    """dim H_n of B (x) P (homology) or Hom(P, B) (cohomology) for each n
+    in ``degrees`` (n >= 1), by counting label cubes (module docstring), for
+    B = A with its monomial basis (a Nakayama twist).
+
+    Construction evaluates every summand block of the maps out of and into
+    degree n once per block key (``_Assembly.evaluate``) and checks that
+    each entry joins the monomials its multidegree allows; then it checks
+    every label square with its upper vertex in degree n + 1: the square
+    anticommutes (d o d = 0 there) and its opposite edges agree in being
+    zero.  A failure raises ValueError.  No matrix is built.
+    """
+
+    def __init__(self, B, variant, degrees):
+        A = B.algebra
+        self.assembly = _Assembly(B, variant)
+        self.variant, self.c, self.p = variant, A.c, B.field.characteristic
+        self.full = (1 << A.dim) - 1
+        sign = 1 if variant == "homology" else -1
+        # lower[w][parity of i_w at the upper vertex][m]: the monomial that
+        # the upper monomial m meets in direction w, None if it has no
+        # neighbour there
+        self.lower = [[[None] * A.dim for _ in (0, 1)] for _ in A.exponents]
+        monomials = A.monomials()
+        for w, a in enumerate(A.exponents):
+            for parity, targets in enumerate(self.lower[w]):
+                delta = sign * (1 if parity else a - 1)
+                for m, exps in enumerate(monomials):
+                    if 0 <= exps[w] + delta < a:
+                        targets[m] = A.monomial_index(
+                            exps[:w] + (exps[w] + delta,) + exps[w + 1:])
+        # (w, v, the parities of i_w and i_v at the upper vertex): (m, m_w,
+        # m_v) for each upper monomial m with a neighbour m_w in direction w
+        # and m_v in direction v
+        self.pairs = [(w, v) for w in range(A.c) for v in range(w + 1, A.c)]
+        self.corners = {
+            (w, v, pw, pv): [
+                (m, mw, mv) for m, (mw, mv) in enumerate(
+                    zip(self.lower[w][pw], self.lower[v][pv]))
+                if mw is not None and mv is not None]
+            for w, v in self.pairs for pw in (0, 1) for pv in (0, 1)}
+        self._edges, self._frames, self.dims = {}, {}, {}
+        for n in sorted(set(degrees)):
+            self.dims[n] = self._count(n)
+            self._check_squares(n + 1)
+            self._frames = {k: frame for k, frame in self._frames.items()
+                            if k > n}
+
+    def dimension(self, n):
+        return self.dims[n]
+
+    def _edge(self, i, w):
+        """(den, values, upper_ok, lower_ok) for the block of s T_w at e_i:
+        values[m] is the numerator of the w-edge at upper monomial m (0
+        where it is zero or absent); upper_ok and lower_ok are bitmasks over
+        A's monomials, with every bit set except those of the upper and of
+        the lower ends of the nonzero edges of this block."""
+        key = (w, i[:w] + (i[w] % 2,) + i[w + 1:])
+        record = self._edges.get(key)
+        if record is None:
+            parity = i[w] % 2
+            targets = self.lower[w][parity]
+            den, entries = self.assembly.evaluate(key)
+            values = [0] * len(targets)
+            for row, col, v in entries:
+                up, low = (col, row) if self.variant == "homology" \
+                    else (row, col)
+                if targets[up] != low:
+                    raise ValueError(
+                        f"block of direction {w} at generator {i}: entry "
+                        f"({row}, {col}) joins monomials of different "
+                        f"multidegree")
+                values[up] = v
+            upper_ok = lower_ok = self.full
+            for up, v in enumerate(values):
+                if v:
+                    upper_ok ^= 1 << up
+                    lower_ok ^= 1 << targets[up]
+            record = self._edges[key] = (den, values, upper_ok, lower_ok)
+        return record
+
+    def _frame(self, n):
+        """{i: the record of each direction w, None where i_w = 0} over the
+        generators of degree n."""
+        if n not in self._frames:
+            self._frames[n] = {
+                i: tuple(self._edge(i, w) if k else None
+                         for w, k in enumerate(i))
+                for i in generators(self.c, n)}
+        return self._frames[n]
+
+    def _count(self, n):
+        """The number of x^m e_i, |i| = n, all of whose edges are zero."""
+        above = self._frame(n + 1)
+        total = 0
+        for i, records in self._frame(n).items():
+            mask = self.full
+            for w, record in enumerate(records):
+                if record:
+                    mask &= record[2]
+                mask &= above[i[:w] + (i[w] + 1,) + i[w + 1:]][w][3]
+            total += mask.bit_count()
+        return total
+
+    def _check_squares(self, n):
+        """Every label square whose upper vertex lies in degree n."""
+        p, below = self.p, self._frame(n - 1)
+        for u, records in self._frame(n).items():
+            # faces[w]: the records at e_(u - e_w)
+            faces = [below[u[:w] + (k - 1,) + u[w + 1:]] if k else None
+                     for w, k in enumerate(u)]
+            for w, v in self.pairs:
+                if not (u[w] and u[v]):
+                    continue
+                den1, e1, _, _ = records[w]
+                den2, e2, _, _ = faces[w][v]
+                den3, e3, _, _ = records[v]
+                den4, e4, _, _ = faces[v][w]
+                # e1 e2 / (den1 den2) + e3 e4 / (den3 den4) must vanish
+                s12, s34 = den3 * den4, den1 * den2
+                for m, mw, mv in self.corners[w, v, u[w] % 2, u[v] % 2]:
+                    a, b, c, d = e1[m], e2[mw], e3[m], e4[mv]
+                    total = a * b * s12 + c * d * s34
+                    if total % p if p else total:
+                        raise ValueError(
+                            f"{self.variant} maps at degrees {n} and "
+                            f"{n - 1} do not compose to zero: square of "
+                            f"directions {w}, {v} at generator {u}, "
+                            f"monomial {m}")
+                    if (not a) != (not d) or (not b) != (not c):
+                        raise ValueError(
+                            f"opposite edges of the square of directions "
+                            f"{w}, {v} at generator {u}, monomial {m} "
+                            f"disagree in being zero")
+

@@ -235,3 +235,43 @@ def resolution_map(B, n, variant):
                         entries[key] = field.add(entries.get(key, field.zero),
                                                  field.mul(scalar, v))
     return {key: v for key, v in entries.items() if v != field.zero}
+
+
+def _signed_power(field, x, k):
+    return _field_power(field, x, k) if k >= 0 else \
+        _field_power(field, field.inv(x), -k)
+
+
+def edge_lemma_scalar(A, power, w, odd, label):
+    """E of the edge lemma: every direction-w edge of the twisted-tensor
+    resolution complex of B = nu^power (B (x) P or Hom(P, B)) at the Z^c
+    multidegree ``label`` is +-(a unit) times E, where, with n_w the
+    Nakayama twist scalar of x_w (prod_v q_vw^(a_v - 1), to the power),
+    A_w = prod_{v<w} q_vw^label_v and B_w = n_w prod_{v>w} q_wv^label_v,
+
+        E = A_w - B_w                                  (i_w odd),
+        E = sum_{t < a_w} A_w^t B_w^(a_w - 1 - t)      (i_w even),
+
+    i_w being the exponent of the edge's upper generator.  label_w is not
+    read, so whether an edge is zero depends on w, the parity and the
+    other coordinates of the label only.
+    """
+    field, q, c = A.field, A.q, A.c
+    nakayama = field.one
+    for v in range(c):
+        nakayama = field.mul(nakayama, _field_power(
+            field, q[v][w], A.exponents[v] - 1))
+    alpha, beta = field.one, _signed_power(field, nakayama, power)
+    for v in range(w):
+        alpha = field.mul(alpha, _signed_power(field, q[v][w], label[v]))
+    for v in range(w + 1, c):
+        beta = field.mul(beta, _signed_power(field, q[w][v], label[v]))
+    if odd:
+        return field.sub(alpha, beta)
+    a = A.exponents[w]
+    total = field.zero
+    for t in range(a):
+        total = field.add(total, field.mul(
+            _field_power(field, alpha, t),
+            _field_power(field, beta, a - 1 - t)))
+    return total

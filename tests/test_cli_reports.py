@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -244,6 +245,26 @@ class TestDimsCommand:
         assert main(["dims", "--spec", codim2_path, "--min", "0", "--max",
                      "1", "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("degree,dimension,method,source")
+
+    def test_repeated_calls_leave_no_argparse_garbage(self, codim2_path,
+                                                      capsys):
+        """main reuses one parser; building one per call left its
+        formatters in reference cycles for the collector."""
+        argv = ["dims", "--spec", codim2_path, "--min", "0", "--max", "1"]
+        assert main(argv) == EXIT_OK  # the parser is built on first use
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(20):
+                assert main(argv) == EXIT_OK
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage
+                      if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_usage_errors(self, codim2_path, tmp_path):
         missing = str(tmp_path / "nope.json")

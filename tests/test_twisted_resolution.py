@@ -16,10 +16,10 @@ from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
-from tatehh.twisted_resolution import ResolutionWindow, chain_space_dim, \
-    generators
+from tatehh.twisted_resolution import Census, ResolutionWindow, \
+    chain_space_dim, generators
 
-from oracles import resolution_map
+from oracles import edge_lemma_scalar, resolution_map
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 # every shape with c <= 3 and dim <= 8
@@ -187,6 +187,122 @@ def test_doubled_summand_block_fails_window_construction(monkeypatch, field,
         TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
 
 
+VARIANTS = ("homology", "cohomology")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(qcis(), st.integers(-2, 2), st.sampled_from(VARIANTS))
+def test_property_census_matches_window(A, k, variant):
+    """The resolution route (a label census outside the splice) agrees with
+    the spliced reference window in every degree of [-6, 5]."""
+    table = tate_dims(TateRequest(A, -6, 5, variant, nakayama_power=k,
+                                  method="complex_only"))
+    j = k if variant == "homology" else k - 1
+    window = TateWindow(A, j, -6, 5, DEFAULT_BUDGET, ResolutionWindow)
+    assert [(e.dimension, e.method) for e in table.entries] == [
+        (window.homology_dim(n if variant == "homology" else -n - 1),
+         "resolution") for n in range(-6, 6)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(qcis(), st.integers(-2, 2), st.sampled_from(VARIANTS))
+def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
+    """Every summand block of degrees 1..5 has an entry exactly at the
+    w-edges that the edge lemma's scalar E does not kill: from x^m e_i to
+    x^(m + delta e_w) e_(i - e_w) (homology) or from x^m e_(i - e_w) to
+    x^(m + delta e_w) e_i (cohomology), delta = 1 for odd i_w and a_w - 1
+    for even i_w."""
+    assembly = ResolutionWindow.differentials(nakayama_module(A, j), variant)
+    sign = 1 if variant == "homology" else -1
+    for n in range(1, 6):
+        for i in generators(A.c, n):
+            for w, a in enumerate(A.exponents):
+                if not i[w]:
+                    continue
+                odd = i[w] % 2
+                delta = 1 if odd else a - 1
+                expected = set()
+                for m, exps in enumerate(A.monomials()):
+                    # m on the summand of e_i, its partner on e_(i - e_w)
+                    if not 0 <= exps[w] + sign * delta < a:
+                        continue
+                    partner = A.monomial_index(
+                        exps[:w] + (exps[w] + sign * delta,) + exps[w + 1:])
+                    label = [e + sign * (b * (k // 2) + k % 2)
+                             for e, b, k in zip(exps, A.exponents, i)]
+                    if edge_lemma_scalar(A, j, w, odd, label) != A.field.zero:
+                        expected.add((partner, m) if sign > 0
+                                     else (m, partner))
+                _, entries = assembly.block(i, w)
+                assert {(row, col) for row, col, _ in entries} == expected
+
+
+def patch_block(monkeypatch, change):
+    """Route every summand block through ``change(B, i, w, entries)``."""
+    original = twisted_resolution._block
+
+    def patched(B, sandwiches, power, i, w, variant):
+        den, entries = original(B, sandwiches, power, i, w, variant)
+        return den, change(B, i, w, entries)
+
+    monkeypatch.setattr(twisted_resolution, "_block", patched)
+
+
+@pytest.mark.parametrize("field, q", [(QQ, Fraction(2)), (PrimeField(5), 2)],
+                         ids=["QQ", "GF5"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_doubled_block_fails_census(monkeypatch, field, q, variant):
+    """Doubling the first nonzero block breaks a label square, and the
+    census of tate_dims stops with the window's wording."""
+    doubled = []
+
+    def double_first(B, i, w, entries):
+        if entries and not doubled:
+            doubled.append((i, w))
+            return [(row, col, B.field.mul(2, v)) for row, col, v in entries]
+        return entries
+
+    patch_block(monkeypatch, double_first)
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        tate_dims(TateRequest(codim2_algebra(field, 2, 3, q), 2, 4, variant,
+                              method="complex_only"))
+    assert doubled
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_entry_across_multidegrees_fails_census(monkeypatch, variant):
+    def move_first(B, i, w, entries):
+        if not entries:
+            return entries
+        (row, col, v), rest = entries[0], entries[1:]
+        taken = {r for r, c, _ in rest if c == col}
+        target = next(r for r in range(row + 1, row + B.dim)
+                      if r % B.dim not in taken) % B.dim
+        return [(target, col, v)] + rest
+
+    patch_block(monkeypatch, move_first)
+    with pytest.raises(ValueError, match="multidegree"):
+        tate_dims(TateRequest(codim2_algebra(QQ, 2, 3, Fraction(2)), 2, 3,
+                              variant, method="complex_only"))
+
+
+def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
+    """Dropping one entry of the block at e_(1,0), direction 0, keeps
+    d o d = 0, so the reference window builds and reads dim 2 in
+    cohomology degree 1; but it leaves one label with a zero and a nonzero
+    edge in direction 0, where counting vertices would read 3.  The census
+    refuses it."""
+    def drop_one(B, i, w, entries):
+        return entries[1:] if (i, w) == ((1, 0), 0) else entries
+
+    patch_block(monkeypatch, drop_one)
+    A = codim2_algebra(QQ, 2, 3, Fraction(2))
+    window = TateWindow(A, -1, -2, -2, DEFAULT_BUDGET, ResolutionWindow)
+    assert window.homology_dim(-2) == 2
+    with pytest.raises(ValueError, match="disagree in being zero"):
+        tate_dims(TateRequest(A, 1, 1, "cohomology", method="complex_only"))
+
+
 def test_bar_and_hochschild_windows_stay_ungraded():
     A = codim2_algebra(PrimeField(5), 2, 2, 2)
     bar = TateWindow(A, 0, -2, 2, DEFAULT_BUDGET, BarWindow)
@@ -342,12 +458,10 @@ def test_budget_caps_largest_resolution_space(tmp_path):
 
 
 def corrupt_resolution(monkeypatch):
-    """Make every resolution window report -1, leaving the bar ones alone."""
-    original = TateWindow.homology_dim
-    monkeypatch.setattr(
-        TateWindow, "homology_dim",
-        lambda self, n: -1 if self.kind is ResolutionWindow
-        else original(self, n))
+    """Make the resolution route's label census report -1 in every degree
+    it serves (every degree outside the splice), leaving the bar windows
+    alone."""
+    monkeypatch.setattr(Census, "dimension", lambda self, n: -1)
 
 
 def test_cross_validate_dumps_both_complexes(monkeypatch, tmp_path):
