@@ -96,13 +96,12 @@ class HochschildWindow:
                 raise BudgetExceeded(n, sizes[n + 1], budget)
         spaces = {self.position(n): size for n, size in enumerate(sizes)}
         spaces[self.position(-1)] = 0
-        differential = self.differentials(B, variant)
+        d = self.differentials(B, variant)
         if variant == "homology":
-            maps = {n: differential(n) for n in range(1, n_max + 2)}
+            maps = {n: d(n) for n in range(1, n_max + 2)}
             maps[0] = SparseMatrix(B.field, 0, sizes[0])
         else:
-            maps = {self.position(n): differential(n)
-                    for n in range(n_max + 1)}
+            maps = {self.position(n): d(n) for n in range(n_max + 1)}
             maps[self.position(-1)] = SparseMatrix(B.field, sizes[0], 0)
         self.window = ChainComplexWindow(sorted(spaces, reverse=True),
                                          spaces, maps)

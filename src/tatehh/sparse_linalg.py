@@ -1,33 +1,25 @@
 """Exact sparse matrices, ranks, kernels, and chain-complex windows.
 
 Matrices are immutable coordinate-format collections of nonzero entries over
-an exact field.  Over the rationals an entry is a Fraction or a Python int;
-an int is an integer rational, and the graded maps of the resolution hold
-only ints (twisted_resolution keeps them as integer multiples of the true
-maps).  A zero entry is tested by truthiness, which is exact for both and
-for GF(p) residues.
+an exact field.  Over the rationals an entry is a Fraction or a Python int,
+an integer rational.  A zero entry is tested by truthiness, which is exact
+for both and for GF(p) residues.
 
-Rank and kernel come from one of two eliminations, chosen by the matrix
-itself.  An ungraded matrix is eliminated whole: each pivot is taken in a
-shortest remaining row, at the column of that row with the fewest remaining
-rows, ties going to the lowest index (a Markowitz-style rule that bounds
-fill by the pivot's row and column counts without scanning every entry).
-Rank is the number of pivots, counted on whichever of the matrix and its
-transpose has fewer rows; the kernel basis comes from back-substituting the
-pivot rows.  A matrix built with multidegree labels on its rows and columns
-is graded: construction rejects an entry whose row and column labels
-differ, and the rank is the sum of the ranks of the blocks of equal label.
-The blocks of the resolution are a few elements a side, so each is
-eliminated by a plain loop, pivot rows shortest first, without the heap
-and column index that large ungraded matrices need.
+Rank and kernel come from one elimination of the whole matrix: each pivot
+is taken in a shortest remaining row, at the column of that row with the
+fewest remaining rows, ties going to the lowest index (a Markowitz-style
+rule that bounds fill by the pivot's row and column counts without scanning
+every entry).  Rank is the number of pivots, counted on whichever of the
+matrix and its transpose has fewer rows; the kernel basis comes from
+back-substituting the pivot rows.
 
-Both are fraction-free.  A row t with entry e in the column of pivot row r,
-pivot entry pv, becomes pv t - e r: a nonzero multiple of t - (e/pv) r, so
-the zero pattern, and with it every pivot choice and the kernel basis, is
-that of dividing elimination.  Over the rationals the rows are first
-cleared of denominators and each updated row is divided by the gcd of its
-entries, so no Fraction is formed until back-substitution; over GF(p) the
-update is reduced mod p.
+The elimination is fraction-free.  A row t with entry e in the column of
+pivot row r, pivot entry pv, becomes pv t - e r: a nonzero multiple of
+t - (e/pv) r, so the zero pattern, and with it every pivot choice and the
+kernel basis, is that of dividing elimination.  Over the rationals the rows
+are first cleared of denominators and each updated row is divided by the
+gcd of its entries, so no Fraction is formed until back-substitution; over
+GF(p) the update is reduced mod p.
 
 A ChainComplexWindow is a finite run of degrees with one matrix per adjacent
 pair, mapping degree n to n - 1.  Construction checks shapes and that
@@ -41,25 +33,13 @@ from math import gcd, lcm
 
 
 class SparseMatrix:
-    """An immutable nrows x ncols matrix over an exact field.
+    """An immutable nrows x ncols matrix over an exact field."""
 
-    ``labels``, a pair (row labels, column labels), grades the matrix: each
-    entry must join a row and a column of equal label, else ValueError, and
-    the rank is summed over the blocks of equal label.  Matrices derived by
-    transpose, compose, scale or add are ungraded.
-    """
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_nnz", "_rank")
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_nnz", "_rank",
-                 "_labels")
-
-    def __init__(self, field, nrows, ncols, entries=(), labels=None):
+    def __init__(self, field, nrows, ncols, entries=()):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if labels is not None:
-            row_labels, col_labels = labels
-            if (len(row_labels), len(col_labels)) != (nrows, ncols):
-                raise ValueError(
-                    f"labels do not fit a {nrows}x{ncols} matrix")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -75,17 +55,9 @@ class SparseMatrix:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             row[j] = v
             count += 1
-        if labels is not None:
-            for i, row in rows.items():
-                label = row_labels[i]
-                for j in row:
-                    if col_labels[j] != label:
-                        raise ValueError(f"entry ({i}, {j}) joins multidegree "
-                                         f"{col_labels[j]} to {label}")
         self._rows = rows
         self._nnz = count
         self._rank = None
-        self._labels = labels
 
     @classmethod
     def from_dict(cls, field, nrows, ncols, entry_dict):
@@ -104,18 +76,6 @@ class SparseMatrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def blocks(self):
-        """(row indices, column indices) per label, in order of first
-        appearance among the rows, then the columns; an ungraded matrix is
-        one block."""
-        if self._labels is None:
-            return [(list(range(self.nrows)), list(range(self.ncols)))]
-        out = {}
-        for side, labels in enumerate(self._labels):
-            for index, label in enumerate(labels):
-                out.setdefault(label, ([], []))[side].append(index)
-        return list(out.values())
 
     def entry(self, i, j):
         return self._rows.get(i, {}).get(j, self.field.zero)
@@ -211,25 +171,12 @@ class SparseMatrix:
         return self._rank
 
     def _compute_rank(self):
-        """An ungraded matrix is eliminated whole, as its transpose when
-        that has fewer rows (the rank is the same, and fewer, longer rows
-        take less memory); a graded one is the sum of its block ranks."""
+        """Eliminate the matrix, or its transpose when that has fewer rows:
+        the rank is the same, and fewer, longer rows take less memory."""
         if self._nnz == 0:
             return 0
-        field = self.field
-        if self._labels is None:
-            rows = self._elimination_rows(self.nrows > self.ncols)
-            return sum(1 for _ in _eliminate(field, rows))
-        rows = self._rows
-        if field.characteristic == 0 and any(
-                type(v) is not int for row in rows.values()
-                for v in row.values()):
-            rows = {i: _integral(row) for i, row in rows.items()}
-        row_labels, blocks = self._labels[0], {}
-        for i, row in rows.items():
-            blocks.setdefault(row_labels[i], []).append(row)
-        return sum(1 if len(block) == 1 else _block_rank(field, block)
-                   for block in blocks.values())
+        rows = self._elimination_rows(self.nrows > self.ncols)
+        return sum(1 for _ in _eliminate(self.field, rows))
 
     def _elimination_rows(self, transpose=False):
         """A fresh {row: {col: scalar}} copy of the matrix or of its
@@ -284,47 +231,6 @@ def _integral(row):
     """A rational row {col: scalar} times the lcm of its denominators."""
     den = lcm(*(v.denominator for v in row.values()))
     return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-
-
-def _block_rank(field, rows):
-    """The rank of a list of nonzero rows {col: scalar}, integers over the
-    rationals, by fraction-free elimination; the rows are not changed.
-
-    Pivot rows are taken in order of their starting length, shortest
-    first, each at its first column.  A pivot row r with pivot entry pv
-    turns each row t with entry e in the pivot column into pv t - e r,
-    reduced mod p over GF(p) and divided by the gcd of its entries over the
-    rationals.
-    """
-    p = field.characteristic
-    pending = sorted(rows, key=len, reverse=True)
-    rank = 0
-    while pending:
-        prow = pending.pop()
-        rank += 1
-        pj, pv = next(iter(prow.items()))
-        rest = []
-        for row in pending:
-            e = row.get(pj)
-            if e:
-                row = {j: v * pv for j, v in row.items() if j != pj}
-                for j, v in prow.items():
-                    if j != pj:
-                        row[j] = row.get(j, 0) - e * v
-                if p:
-                    row = {j: v % p for j, v in row.items() if v % p}
-                    if not row:
-                        continue
-                else:
-                    row = {j: v for j, v in row.items() if v}
-                    if not row:
-                        continue
-                    g = gcd(*row.values())
-                    if g > 1:
-                        row = {j: v // g for j, v in row.items()}
-            rest.append(row)
-        pending = rest
-    return rank
 
 
 def _eliminate(field, rows):

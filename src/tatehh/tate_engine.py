@@ -239,13 +239,9 @@ class TateWindow(ChainComplexWindow):
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
     the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution's
     maps next to the splice are near_zero's literal blocks, so a window
-    inside [-2, 1] builds no bimodule; the bar complex uses its own.  The
-    resolution's maps beyond them (|n| >= 2) are graded by multidegree
-    and ranked block by block (twisted_resolution); the literal maps and
-    the bar complex's stay ungraded.  A graded map is held as an integer
-    multiple of the differential, ``maps[n]`` = ``scales[n]`` d_n, which
-    has the same rank; ``differential(n)`` is d_n itself.  Composition-zero
-    is checked at construction, across the splice too.
+    inside [-2, 1] builds no bimodule; the bar complex uses its own.
+    ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
+    Composition-zero is checked at construction, across the splice too.
     """
 
     def __init__(self, A, j, lo, hi, budget, kind):
@@ -254,7 +250,7 @@ class TateWindow(ChainComplexWindow):
             if needed > budget:
                 raise BudgetExceeded(n, needed, budget)
         self.A, self.j, self.kind = A, j, kind
-        self._halves, self.scales = {}, {}
+        self._halves = {}
         degrees = range(hi + 1, lo - 2, -1)
         spaces = {n: kind.space_dim(A, A.dim, n if n >= 0 else -n - 1)
                   for n in degrees}
@@ -283,18 +279,7 @@ class TateWindow(ChainComplexWindow):
             half, degree = self._half(j, "homology"), n
         else:
             half, degree = self._half(j + 1, "cohomology"), -n - 1
-        if self.kind is BarWindow:
-            return half(degree)
-        self.scales[n], graded = half.graded(degree)
-        return graded
-
-    def differential(self, n):
-        """The map C_n -> C_{n-1} itself: ``maps[n]`` holds it times
-        ``scales[n]``, a positive integer (1 where no scale is recorded)."""
-        scale = self.scales.get(n, 1)
-        if scale == 1:
-            return self.maps[n]
-        return self.maps[n].scale(self.A.field.inv(scale))
+        return half(degree)
 
     def _half(self, j, variant):
         if variant not in self._halves:
@@ -410,8 +395,7 @@ def cross_validate(req, dump_dir=None):
 def _dump_disagreement(session, degree, names, dump_dir):
     """Write the maps into and out of the chain space of ``degree`` from a
     reference window of each named window terminal, one file per map,
-    named by its degree in the spliced complex; a graded map is written
-    unscaled."""
+    named by its degree in the spliced complex."""
     import os
 
     os.makedirs(dump_dir, exist_ok=True)
@@ -424,6 +408,6 @@ def _dump_disagreement(session, degree, names, dump_dir):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(win.differential(deg).dump_coordinates())
+                fh.write(win.maps[deg].dump_coordinates())
             paths.append(path)
     return paths

@@ -27,28 +27,24 @@ of this formula in the tests.
 
 The summand block of s T_w depends only on w, the parity of i_w, the depths
 D_v(i) for v != w and the parity of i_1 + ... + i_{w-1}.  D_v is injective
-in i_v, so that key is w with i, i_w taken mod 2; the callable that
-``ResolutionWindow.differentials`` returns keeps one table of blocks under
-it, so every degree it builds shares each block.
+in i_v, so that key (block_key) is w with i, i_w taken mod 2; the callable
+that ``ResolutionWindow.differentials`` returns keeps one table of blocks
+under it, so every degree it builds shares each block, and Census keeps
+one table of edge records under the same key.
 
 Scalars are integers: a block is kept as integer entries over one
 denominator, in lowest terms, built from integer powers of the numerator
 and denominator of each q_uv (cached per callable).  Over GF(p) the
 integers are residues and the denominator is 1.  Called with a degree, the
-callable divides back to the map itself; ``graded`` returns L_n d_n, with L_n
-the lcm of the block denominators of degree n, whose entries are integers.
-A nonzero multiple of a map has the same rank and composes to zero with
-the same maps, so the homology of a window of such multiples is unchanged.
+callable divides back to the map itself.
 
 Grading: when B is A with its monomial basis (a Nakayama twist), both
 complexes are Z^c-graded.  The basis element x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
 every differential preserves it, since x_w^j e' x_w^k has j + k =
-D_w(i) - D_w(i - e_w).  The same callable's ``multidegrees(n)`` lists these
-labels once per degree; a map built with them (``graded``) is split into
-blocks of at most 2^c basis elements a side and ranked block by block.
-That is the spliced reference window's path (tate_engine.TateWindow); the
-route itself counts (Census).
+D_w(i) - D_w(i - e_w).  The resolution route counts over this grading
+(Census); the spliced reference window (tate_engine.TateWindow) holds the
+maps whole.
 
 Label census.  Write delta = D_w(i) - D_w(i - e_w): 1 for odd i_w, a_w - 1
 for even i_w.  Per w, a label lambda allows one value of i_w or two
@@ -92,7 +88,6 @@ and lambda_v for v != w.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -141,6 +136,12 @@ def depth(a, k):
     return a * (k // 2) + k % 2
 
 
+def block_key(i, w):
+    """The memo key of the block of s T_w at e_i: w with i, i_w taken mod 2
+    (module docstring)."""
+    return w, i[:w] + (i[w] % 2,) + i[w + 1:]
+
+
 def _block(B, sandwiches, power, i, w, variant):
     """The map on one B summand induced by s T_w for the generator e_i, as
     (den, entries): its nonzero entries are (row, col, v / den), v an
@@ -187,41 +188,19 @@ def _block(B, sandwiches, power, i, w, variant):
 class _Assembly:
     """The maps of B (x) P (homology) or Hom(P, B) (cohomology) for one B.
 
-    Every degree shares one table each of summand blocks, under the key of
-    the module docstring, integer powers of the q_uv, generator lists and
-    multidegree labels.
+    Every degree shares one table each of summand blocks, under
+    ``block_key``, integer powers of the q_uv and generator lists.
     """
 
     def __init__(self, B, variant):
         self.B, self.variant = B, variant
         self.sandwiches = _sandwiches(B)
-        self.blocks, self.bases, self.labels, self.powers = {}, {}, {}, {}
-        # columns[v][k]: component v of the multidegree over the basis of
-        # a summand with i_v = k
-        self.columns = [[] for _ in range(B.algebra.c)]
+        self.blocks, self.bases, self.powers = {}, {}, {}
 
     def generators(self, n):
         if n not in self.bases:
             self.bases[n] = generators(self.B.algebra.c, n)
         return self.bases[n]
-
-    def multidegrees(self, n):
-        """The Z^c multidegree of each basis element of degree n, in basis
-        order, for B = A with its monomial basis (a Nakayama twist): x^m e_i
-        has m + D(i) in homology and m - D(i) in cohomology."""
-        if n not in self.labels:
-            A = self.B.algebra
-            sign = 1 if self.variant == "homology" else -1
-            for a, coordinate, column in zip(A.exponents, zip(*A.monomials()),
-                                             self.columns):
-                for k in range(len(column), n + 1):
-                    d = sign * depth(a, k)
-                    column.append([m + d for m in coordinate])
-            self.labels[n] = list(zip(*[
-                chain.from_iterable(map(column.__getitem__, ks))
-                for column, ks in zip(self.columns,
-                                      zip(*self.generators(n)))]))
-        return self.labels[n]
 
     def power(self, u, v, k):
         """q_uv^k as (numerator, denominator), integers; over GF(p) the
@@ -234,7 +213,7 @@ class _Assembly:
         return self.powers[key]
 
     def block(self, i, w):
-        key = (w, i[:w] + (i[w] % 2,) + i[w + 1:])
+        key = block_key(i, w)
         if key not in self.blocks:
             self.blocks[key] = self.evaluate(key)
         return self.blocks[key]
@@ -247,16 +226,6 @@ class _Assembly:
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology
         (n >= 1), the coboundary from degree n to n + 1 in cohomology."""
-        return self._assemble(n, graded=False)[1]
-
-    def graded(self, n):
-        """(L, M) with M = L times the map of degree n, for B = A with its
-        monomial basis: M has integer entries (residues over GF(p)) and its
-        rows and columns labelled with their multidegrees, and L is the lcm
-        of the block denominators (1 over GF(p))."""
-        return self._assemble(n, graded=True)
-
-    def _assemble(self, n, graded):
         B, variant = self.B, self.variant
         c, dim = B.algebra.c, B.dim
         top = n if variant == "homology" else n + 1
@@ -272,23 +241,14 @@ class _Assembly:
                 parts.append(offsets + self.block(i, w))
         rows, cols = (top - 1, top) if variant == "homology" \
             else (top, top - 1)
-        if graded:
-            scale = lcm(*{den for _, _, den, _ in parts})
-            labels = (self.multidegrees(rows), self.multidegrees(cols))
-            parts = [(row_off, col_off, scale // den, entries)
-                     for row_off, col_off, den, entries in parts]
-            value = mul
-        else:
-            # every den is 1 over GF(p)
-            scale, labels = 1, None
-            value = Fraction if B.field.characteristic == 0 else mul
-        return scale, SparseMatrix(
+        # every den is 1 over GF(p)
+        value = Fraction if B.field.characteristic == 0 else mul
+        return SparseMatrix(
             B.field, chain_space_dim(c, dim, rows),
             chain_space_dim(c, dim, cols), (
-                (row_off + row, col_off + col, value(v, x))
-                for row_off, col_off, x, entries in parts
-                for row, col, v in entries),
-            labels=labels)
+                (row_off + row, col_off + col, value(v, den))
+                for row_off, col_off, den, entries in parts
+                for row, col, v in entries))
 
 
 class ResolutionWindow(HochschildWindow):
@@ -360,7 +320,7 @@ class Census:
         where it is zero or absent); upper_ok and lower_ok are bitmasks over
         A's monomials, with every bit set except those of the upper and of
         the lower ends of the nonzero edges of this block."""
-        key = (w, i[:w] + (i[w] % 2,) + i[w + 1:])
+        key = block_key(i, w)
         record = self._edges.get(key)
         if record is None:
             parity = i[w] % 2

@@ -218,6 +218,8 @@ def low_rank_matrices(draw, field):
 
 @st.composite
 def block_diagonal_matrices(draw, field):
+    """A permuted direct sum; over QQ either as drawn or cleared of
+    denominators to Python ints."""
     blocks = draw(st.lists(plain_matrices(field, max_side=4), min_size=1,
                            max_size=4))
     nrows = sum(B.nrows for B in blocks)
@@ -231,43 +233,11 @@ def block_diagonal_matrices(draw, field):
             entries[(rperm[offset_r + i], cperm[offset_c + j])] = v
         offset_r += B.nrows
         offset_c += B.ncols
-    return SparseMatrix.from_dict(field, nrows, ncols, entries)
-
-
-@st.composite
-def graded_matrices(draw, field):
-    """A permuted direct sum whose rows and columns are labelled by their
-    block; over QQ either as drawn or cleared of denominators to Python
-    ints, as the resolution's graded maps are."""
-    blocks = draw(st.lists(st.one_of(plain_matrices(field, max_side=4),
-                                     low_rank_matrices(field)),
-                           min_size=1, max_size=4))
-    nrows = sum(B.nrows for B in blocks)
-    ncols = sum(B.ncols for B in blocks)
-    rperm = draw(st.permutations(range(nrows)))
-    cperm = draw(st.permutations(range(ncols)))
-    rows, cols, entries = [None] * nrows, [None] * ncols, []
-    offset_r = offset_c = 0
-    for label, B in enumerate(blocks):
-        for i in range(B.nrows):
-            rows[rperm[offset_r + i]] = label
-        for j in range(B.ncols):
-            cols[cperm[offset_c + j]] = label
-        entries.extend((rperm[offset_r + i], cperm[offset_c + j], v)
-                       for i, j, v in B.entries())
-        offset_r += B.nrows
-        offset_c += B.ncols
     if field.characteristic == 0 and draw(st.booleans()):
-        den = lcm(*(v.denominator for _, _, v in entries))
-        entries = [(i, j, v.numerator * (den // v.denominator))
-                   for i, j, v in entries]
-    return SparseMatrix(field, nrows, ncols, entries, labels=(rows, cols))
-
-
-@PROPERTY_SETTINGS
-@given(st.sampled_from(FIELDS).flatmap(graded_matrices))
-def test_property_graded_rank_matches_dense_oracle(M):
-    assert M.rank() == dense_rank(M.field, dense_of(M))
+        den = lcm(*(v.denominator for v in entries.values()))
+        entries = {key: v.numerator * (den // v.denominator)
+                   for key, v in entries.items()}
+    return SparseMatrix.from_dict(field, nrows, ncols, entries)
 
 
 matrices = st.sampled_from(FIELDS).flatmap(
