@@ -7,6 +7,10 @@ lower bound, and the two-generator case with a generic commutation scalar.
 The characteristic enters only through divisibility of the exponents, so a
 characteristic of 0 (the rationals) simply divides nothing.
 
+No table is served from these counts: every table cell comes from a
+complex (tate_engine), and the verify suites and the tests compare the
+tables with the published values here.
+
 Degree conventions: the one-variable, commutative, and exterior counts take
 n >= 0 and serve negative degrees through the symmetry dim H_n = dim H_{-n-1}
 applied by the caller; the lower bound and the two-generator counts accept

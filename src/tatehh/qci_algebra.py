@@ -267,22 +267,6 @@ class QciAlgebra:
             value = self.field.mul(value, scalar_pow(self.field, alpha, e))
         return value
 
-    # -- classification helpers (used for closed-form routing) -----------------
-
-    def is_commutative(self):
-        one = self.field.one
-        return all(v == one for row in self.q for v in row)
-
-    def is_exterior(self):
-        minus_one = self.field.neg(self.field.one)
-        if any(a != 2 for a in self.exponents):
-            return False
-        return all(self.q[i][j] == minus_one
-                   for i in range(self.c) for j in range(self.c) if i != j)
-
-    def has_equal_exponents(self):
-        return len(set(self.exponents)) == 1
-
     def describe(self):
         field = self.field
         return {

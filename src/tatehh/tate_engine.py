@@ -12,49 +12,44 @@ bimodule resolution P spliced at degree 0 to its A^e-dual is one (Buchweitz
 
 joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix(A, nu^j).  Tate
 homology of nu^k in degree n is H_n(C(k)); Tate cohomology of nu^k in degree
-n is H_{-n-1}(C(k-1)); this holds for every integer n.  Each degree is
-routed to one terminal:
+n is H_{-n-1}(C(k-1)); this holds for every integer n.  A method
+policy routes every degree to one terminal, named in the table's method
+column:
 
-  formula    a closed-form theorem whose hypotheses the algebra satisfies,
-             valid on the whole integer line (the published statements carry
-             their own degree reflection);
-  resolution the twisted-tensor resolution (twisted_resolution), within
-             the element budget: chain degrees >= 1 and <= -2 by the label
-             census of each half (Census, no matrix), the splice degrees 0
-             and -1 from a TateWindow on [-1, 0], which builds no bimodule;
-  oracle     the spliced complex of the bar resolution (hochschild_bar),
-             within the element budget; only the bar_only policy routes to
-             it, so it stays an independent check (cross_validate).
+  auto      resolution: the twisted-tensor resolution (twisted_resolution),
+            within the element budget; chain degrees >= 1 and <= -2 by the
+            label census of each half (Census, no matrix), the splice
+            degrees 0 and -1 from a TateWindow on [-1, 0], which builds no
+            bimodule;
+  bar_only  oracle: the spliced complex of the bar resolution
+            (hochschild_bar), within the element budget, so that it stays
+            an independent check (cross_validate).
 
 A request builds at most one window and one census per resolution half.
 TateWindow over the whole requested range stays the reference that
-cross_validate's dumps and the tests read.  The duality theorems are
-checked, not used: the verify duality suite compares degree-0 cohomology
-with the linear dual recognised as a Nakayama twist
-(recognize_nakayama_power, below).  The paper's two-generator complex
-(codim2_complex.DeltaComplex) checks the resolution's nu^-1 homology in
-the verify codim2 suite and the tests.  Degrees that no permitted route
-can serve are marked unavailable with a reason instead of being guessed.
+cross_validate's dumps and the tests read.  The published closed forms
+(closed_forms) route nothing: the verify suites and the tests compare the
+table with them.  The duality theorems are checked, not used: the verify
+duality suite compares degree-0 cohomology with the linear dual recognised
+as a Nakayama twist (recognize_nakayama_power, below).  The paper's
+two-generator complex (codim2_complex.DeltaComplex) checks the
+resolution's nu^-1 homology in the verify codim2 suite and the tests.
+Degrees beyond the budget are marked unavailable with the reason instead
+of being guessed.
 """
 
 from dataclasses import dataclass
 
-from .closed_forms import ci_dim, codim2_cohomology_dim, codim2_homology_dim, \
-    exterior_dim
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix, d1_matrix
 from .qci_algebra import mat_apply, twisted_bimodule
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 from .twisted_resolution import Census, ResolutionWindow
 
-_POLICIES = {
-    "auto": ("formula", "resolution"),
-    "formula_only": ("formula",),
-    "complex_only": ("resolution",),
-    "bar_only": ("oracle",),
-}
+# the terminal of each method policy
+_POLICIES = {"auto": "resolution", "bar_only": "oracle"}
 
-# the window terminals and the complexes their spliced windows read
+# the terminals and the complexes their spliced windows read
 _WINDOWS = {"resolution": ResolutionWindow, "oracle": BarWindow}
 
 VARIANTS = ("homology", "cohomology")
@@ -154,31 +149,6 @@ def entries_json_dict(header, entries):
         for e in entries
     ]
     return doc
-
-
-def _is_generic_codim2(A):
-    if A.c != 2 or A.field.characteristic != 0:
-        return False
-    return not A.field.is_root_of_unity(A.q[0][1])
-
-
-def _formula_dim(A, variant, n, k):
-    """Closed-form value, or None when no published theorem applies."""
-    if k != 0:
-        return None
-    p = A.field.characteristic
-    if variant == "cohomology":
-        if _is_generic_codim2(A):
-            return codim2_cohomology_dim(n)
-        return None
-    m = n if n >= 0 else -n - 1
-    if A.is_exterior():
-        return exterior_dim(A.c, p, m)
-    if A.is_commutative() and A.has_equal_exponents():
-        return ci_dim(A.c, A.exponents[0], p, m)
-    if _is_generic_codim2(A):
-        return codim2_homology_dim(A.exponents[0], A.exponents[1], p, n)
-    return None
 
 
 def nakayama_module(A, k):
@@ -289,17 +259,17 @@ class TateWindow(ChainComplexWindow):
 
 
 class _Session:
-    """One tate_dims evaluation: routes every degree, then serves the ones
-    a window terminal takes.
+    """One tate_dims evaluation: serves every degree within the budget from
+    one terminal.
 
-    ``terminals`` narrows the evaluation to those terminals instead of the
-    request's policy; cross_validate runs one session per terminal.
+    ``terminal`` overrides the request's policy; cross_validate runs one
+    session per terminal.
     """
 
-    def __init__(self, req, terminals=None):
+    def __init__(self, req, terminal=None):
         self.req = req
-        self.terminals = _POLICIES[req.method] if terminals is None \
-            else terminals
+        self.terminal = _POLICIES[req.method] if terminal is None \
+            else terminal
 
     def chain_degree(self, n):
         """The degree of the spliced complex holding degree n."""
@@ -311,31 +281,21 @@ class _Session:
         return k if self.req.variant == "homology" else k - 1
 
     def run(self):
-        req, A = self.req, self.req.algebra
-        kind = next((t for t in self.terminals if t in _WINDOWS), None)
+        req, terminal = self.req, self.terminal
         entries, served = [], []
         for n in req.degrees:
-            value = _formula_dim(A, req.variant, n, req.nakayama_power) \
-                if "formula" in self.terminals else None
-            if value is not None:
-                entries.append(TableEntry(n, value, "formula"))
-            elif kind is None:
-                entries.append(TableEntry(
-                    n, None, "unavailable",
-                    f"no route under policy {req.method}"))
+            needed = TateWindow.need(_WINDOWS[terminal], req.algebra,
+                                     self.chain_degree(n))
+            if needed <= req.budget:
+                served.append(n)
             else:
-                needed = TateWindow.need(_WINDOWS[kind], A,
-                                         self.chain_degree(n))
-                if needed <= req.budget:
-                    served.append(n)
-                else:
-                    entries.append(TableEntry(n, None, "unavailable", str(
-                        BudgetExceeded(n, needed, req.budget))))
+                entries.append(TableEntry(n, None, "unavailable", str(
+                    BudgetExceeded(n, needed, req.budget))))
         if served:
             chain = [self.chain_degree(n) for n in served]
-            dims = self._census(chain) if kind == "resolution" else \
-                self._window(chain, _WINDOWS[kind])
-            entries.extend(TableEntry(n, dims[t], kind)
+            dims = self._census(chain) if terminal == "resolution" else \
+                self._window(chain, _WINDOWS[terminal])
+            entries.extend(TableEntry(n, dims[t], terminal)
                            for n, t in zip(served, chain))
         return DimensionTable(req, entries)
 
@@ -372,11 +332,10 @@ def cross_validate(req, dump_dir=None):
     Returns {"degrees": [...], "all_agree": bool}; each degree reports the
     value of every terminal that serves it, keyed by the terminal's name.
     On disagreement the maps into and out of that degree's chain space are
-    dumped from a reference window of each window terminal that serves it,
+    dumped from a reference window of each terminal that serves it,
     under dump_dir (when given), and the paths are listed.
     """
-    sessions = {name: _Session(req, terminals=(name,))
-                for name in ("formula", "resolution", "oracle")}
+    sessions = {name: _Session(req, terminal=name) for name in _WINDOWS}
     tables = {name: session.run() for name, session in sessions.items()}
     report = []
     for n in req.degrees:

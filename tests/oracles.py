@@ -3,7 +3,12 @@
 Everything here deliberately avoids the package's own algorithms: products
 are normalized by single-swap string rewriting instead of insertion
 reordering, and ranks come from dense Gaussian elimination on row lists.
+The published counts are read from tatehh.closed_forms; which of them
+applies to a table cell is decided here (closed_form_dim).
 """
+
+from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, \
+    codim2_homology_dim, exterior_dim
 
 
 def rewrite_word(field, exponents, q, word):
@@ -139,6 +144,51 @@ def intertwiner_space_dim(field, M, N):
                 if any(x != field.zero for x in row):
                     rows.append(row)
     return dim * dim - dense_rank(field, rows)
+
+
+def is_commutative(A):
+    return all(v == A.field.one for row in A.q for v in row)
+
+
+def is_exterior(A):
+    """Every exponent 2 and every off-diagonal q_ij = -1."""
+    minus_one = A.field.neg(A.field.one)
+    return all(a == 2 for a in A.exponents) and \
+        all(A.q[i][j] == minus_one
+            for i in range(A.c) for j in range(A.c) if i != j)
+
+
+def has_equal_exponents(A):
+    return len(set(A.exponents)) == 1
+
+
+def _is_generic_codim2(A):
+    """Two generators over QQ with q_12 of infinite order."""
+    return A.c == 2 and A.field.characteristic == 0 and \
+        not A.field.is_root_of_unity(A.q[0][1])
+
+
+def closed_form_dim(A, variant, n, k):
+    """The published value of a table cell, or None where no theorem applies.
+
+    Untwisted coefficients only (k = 0).  Homology: exterior algebras,
+    commutative ones with equal exponents, and two generators with a
+    generic q; the first two are stated for m >= 0 and give degrees m and
+    -m - 1.  Cohomology: two generators with a generic q.
+    """
+    if k != 0:
+        return None
+    p = A.field.characteristic
+    if variant == "cohomology":
+        return codim2_cohomology_dim(n) if _is_generic_codim2(A) else None
+    m = n if n >= 0 else -n - 1
+    if is_exterior(A):
+        return exterior_dim(A.c, p, m)
+    if is_commutative(A) and has_equal_exponents(A):
+        return ci_dim(A.c, A.exponents[0], p, m)
+    if _is_generic_codim2(A):
+        return codim2_homology_dim(A.exponents[0], A.exponents[1], p, n)
+    return None
 
 
 def resolution_generators(c, n):

