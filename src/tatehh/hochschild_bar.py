@@ -22,9 +22,7 @@ budget check and the degree layout live there, and each complex supplies
 only its chain-space sizes and its differential.
 """
 
-from dataclasses import dataclass
-
-from .qci_algebra import Bimodule
+from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 
 DEFAULT_BUDGET = 5_000_000
@@ -41,20 +39,18 @@ class BudgetExceeded(Exception):
             f"degree {degree} needs {needed} basis elements, budget is {budget}")
 
 
-@dataclass(frozen=True)
-class BarWindowRequest:
+class BarWindowRequest(Record):
     """A finite window of Hochschild dimensions to compute.
 
     direction is "homology" or "cohomology"; the budget caps the dimension
     (dim B) * (dim A)^(n+1) of the largest chain space a degree-n value needs.
     """
 
-    coefficients: Bimodule
-    n_max: int
-    direction: str
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("coefficients", "n_max", "direction", "budget")
 
-    def __post_init__(self):
+    def __init__(self, coefficients, n_max, direction,
+                 budget=DEFAULT_BUDGET):
+        self._assign(coefficients, n_max, direction, budget)
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
         if self.direction not in ("homology", "cohomology"):

@@ -19,15 +19,20 @@ the resolution's C_1 -> C_0 (negated) and, stacked, C_{-1} -> C_{-2}.  The
 two maps are built twice, by independent routes:
 
   * literally, from the published coefficient formulas (d_1 has the single
-    output coefficient alpha_w prod_{i>=w} q_wi^{u_i} - prod_{j<=w} q_jw^{u_j},
+    output coefficient alpha_w L_w(u) - R_w(u), with the characters
+    L_w(u) = prod_{i>=w} q_wi^{u_i} and R_w(u) = prod_{j<=w} q_jw^{u_j};
     d_0 kills every monomial except 1, which it sends to the socle monomial
     scaled by prod_w (1 + alpha_w + ... + alpha_w^{a_w - 1}));
   * structurally, as the induced right action of 1 (x) x_w - x_w (x) 1 and of
     s on the twisted bimodule.
 
-The windows read the literal pair, and the tests require the two routes to
-agree entrywise.  The three-term window (zeromaps_window, tate_hh0) is a
-check: the verify ci, exterior and duality suites and the tests read it.
+The literal maps are integer arithmetic: the algebra computes the
+characters once from its q-power table (QciAlgebra.generator_characters),
+so every twist reuses them, and each nonzero entry becomes one Fraction
+(one residue over GF(p)).  The windows read the literal pair, and the
+tests require the two routes to agree entrywise.  The three-term window
+(zeromaps_window, tate_hh0) is a check: the verify ci, exterior and
+duality suites and the tests read it.
 """
 
 from .exact_field import scalar_pow
@@ -128,48 +133,29 @@ def check_exactness_claim(A):
 
 def d1_matrix(A, psi):
     """Literal first map: domain has c blocks of monomials, block w for the
-    w-th free generator; single output per basis vector."""
+    w-th free generator; single output per basis vector, psi_w L - R with
+    the characters L and R of A.generator_characters."""
     A.validate_twist(psi)
-    field = A.field
-    entries = {}
-    for w in range(1, A.c + 1):
-        for idx in range(A.dim):
-            exps = A.monomial_exps(idx)
-            if exps[w - 1] + 1 == A.exponents[w - 1]:
-                continue
-            left = psi[w - 1]
-            for i in range(w - 1, A.c):
-                left = field.mul(left, scalar_pow(field, A.q[w - 1][i], exps[i]))
-            right = field.one
-            for j in range(w):
-                right = field.mul(right, scalar_pow(field, A.q[j][w - 1], exps[j]))
-            coeff = field.sub(left, right)
-            if coeff == field.zero:
-                continue
-            target = list(exps)
-            target[w - 1] += 1
-            entries[(A.monomial_index(tuple(target)),
-                     idx + A.dim * (w - 1))] = coeff
-    return SparseMatrix.from_dict(field, A.dim, A.dim * A.c, entries)
+    return SparseMatrix(A.field, A.dim, A.dim * A.c, (
+        (target, idx + A.dim * w,
+         A.scalar(alpha.numerator * a - alpha.denominator * b,
+                  alpha.denominator * d))
+        for w, (alpha, characters) in enumerate(
+            zip(psi, A.generator_characters()))
+        for idx, target, a, b, d in characters))
 
 
 def d0_matrix(A, psi):
     """Literal zeroth map: kills every monomial except 1, which goes to the
     socle monomial scaled by the product of twist geometric sums."""
     A.validate_twist(psi)
-    field = A.field
-    total = field.one
-    for w in range(A.c):
-        geo = field.zero
-        power = field.one
-        for _ in range(A.exponents[w]):
-            geo = field.add(geo, power)
-            power = field.mul(power, psi[w])
-        total = field.mul(total, geo)
-    entries = {}
-    if total != field.zero:
-        entries[(A.top_index, 0)] = total
-    return SparseMatrix.from_dict(field, A.dim, A.dim, entries)
+    num = den = 1
+    for alpha, a in zip(psi, A.exponents):
+        n, d = alpha.numerator, alpha.denominator
+        num *= sum(n ** t * d ** (a - 1 - t) for t in range(a))
+        den *= d ** (a - 1)
+    return SparseMatrix(A.field, A.dim, A.dim,
+                        [(A.top_index, 0, A.scalar(num, den))])
 
 
 def _twisted_right_env_action(A, psi, element):

@@ -13,6 +13,7 @@ scaling each generator) give the twisted bimodules used throughout, and the
 linear dual of a bimodule transposes the actions and exchanges the sides.
 """
 
+from fractions import Fraction
 from math import prod
 
 from .exact_field import scalar_pow
@@ -114,6 +115,7 @@ class QciAlgebra:
             w *= a
         self._exps_cache = [self._index_to_exps(i) for i in range(self.dim)]
         self._struct = None
+        self._powers, self._nakayama, self._characters = {}, {}, None
 
     # -- monomial indexing ---------------------------------------------------
 
@@ -152,38 +154,74 @@ class QciAlgebra:
 
     # -- products ------------------------------------------------------------
 
+    def q_power(self, u, v, k):
+        """q_uv^k as the integers (numerator, denominator) of the reduced
+        fraction over QQ, as (residue, 1) over GF(p).  Memoised; k may be
+        negative, q_uv^-k being q_vu^k."""
+        key = (u, v, k)
+        hit = self._powers.get(key)
+        if hit is None:
+            if k < 0:
+                hit = self.q_power(v, u, -k)
+            else:
+                x, p = self.q[u][v], self.field.characteristic
+                hit = (pow(x, k, p), 1) if p else \
+                    (x.numerator ** k, x.denominator ** k)
+            self._powers[key] = hit
+        return hit
+
+    def scalar(self, num, den):
+        """The field element num / den of integers; den is 1 over GF(p)."""
+        p = self.field.characteristic
+        return num % p if p else Fraction(num, den)
+
+    def _reorder(self, exps1, exps2):
+        """The product of q_uw^{m_u n_w} over u < w, for x^m = exps1 and
+        x^n = exps2, as integers (numerator, denominator); over GF(p) an
+        unreduced residue product and 1."""
+        num = den = 1
+        for w in range(1, self.c):
+            if exps2[w]:
+                for u in range(w):
+                    if exps1[u]:
+                        x, y = self.q_power(u, w, exps1[u] * exps2[w])
+                        num, den = num * x, den * y
+        return num, den
+
     def multiply_monomials(self, exps1, exps2):
         """Normal form of the product of two basis monomials.
 
         Returns (coefficient, exponent tuple) or None when a power x_w^{a_w}
-        appears.  The product word is bubble-reordered into descending
-        generator order, each transposition x_u x_w -> q_uw x_w x_u (u < w)
-        contributing its commutation scalar.
+        appears.  Reordering the word x^m x^n into descending generator
+        order moves each x_w of the second factor past the m_u letters x_u,
+        u < w, of the first, each move x_u x_w -> q_uw x_w x_u, so the
+        coefficient is the product of q_uw^{m_u n_w} over u < w.
         """
-        word = []
-        for w in range(self.c, 0, -1):
-            word.extend([w] * exps1[w - 1])
-        start = len(word)
-        for w in range(self.c, 0, -1):
-            word.extend([w] * exps2[w - 1])
-        field = self.field
-        coeff = field.one
-        # only letters of the second factor can be out of order
-        for k in range(start, len(word)):
-            g = word[k]
-            pos = k
-            while pos > 0 and word[pos - 1] < g:
-                coeff = field.mul(coeff, self.q[word[pos - 1] - 1][g - 1])
-                word[pos] = word[pos - 1]
-                pos -= 1
-            word[pos] = g
-        exps = [0] * self.c
-        for g in word:
-            exps[g - 1] += 1
-        for e, a in zip(exps, self.exponents):
-            if e >= a:
-                return None
-        return coeff, tuple(exps)
+        exps = tuple(m + n for m, n in zip(exps1, exps2))
+        if any(e >= a for e, a in zip(exps, self.exponents)):
+            return None
+        return self.scalar(*self._reorder(exps1, exps2)), exps
+
+    def generator_characters(self):
+        """Per generator x_w (w 0-based), (idx, target, a, b, d) for each
+        monomial x^e = idx with e_w + 1 < a_w: x_w x^e = (a / d) x^target
+        and x^e x_w = (b / d) x^target, so a / d is the product of
+        q_wi^{e_i} over i >= w and b / d that of q_jw^{e_j} over j <= w.
+        Integers; over GF(p) a and b are residue products and d is 1.
+        Memoised."""
+        if self._characters is None:
+            self._characters = []
+            for w, a in enumerate(self.exponents):
+                unit = self.generator_exps(w + 1)
+                row = []
+                for idx, exps in enumerate(self._exps_cache):
+                    if exps[w] + 1 < a:
+                        ln, ld = self._reorder(unit, exps)
+                        rn, rd = self._reorder(exps, unit)
+                        row.append((idx, idx + self._weights[w],
+                                    ln * rd, rn * ld, ld * rd))
+                self._characters.append(row)
+        return self._characters
 
     def structure_constants(self):
         """Cached basis-product table {(i, j): (coeff, k)}; zeros omitted."""
@@ -227,17 +265,20 @@ class QciAlgebra:
         """Diagonal twist scalars of the k-th power of the Nakayama map.
 
         The automorphism scales x_w by the product of q_iw^{a_i - 1} over all
-        generators i; powers (including negative ones) scale accordingly.
+        generators i; its k-th power (k may be negative) by the product of
+        q_iw^{k (a_i - 1)}.  Memoised.
         """
-        field = self.field
-        alphas = []
-        for w in range(self.c):
-            alpha = field.one
-            for i in range(self.c):
-                alpha = field.mul(alpha, scalar_pow(field, self.q[i][w],
-                                                    self.exponents[i] - 1))
-            alphas.append(scalar_pow(field, alpha, k))
-        return tuple(alphas)
+        hit = self._nakayama.get(k)
+        if hit is None:
+            alphas = []
+            for w in range(self.c):
+                num = den = 1
+                for i, a in enumerate(self.exponents):
+                    x, y = self.q_power(i, w, k * (a - 1))
+                    num, den = num * x, den * y
+                alphas.append(self.scalar(num, den))
+            hit = self._nakayama[k] = tuple(alphas)
+        return hit
 
     # -- diagonal twists -------------------------------------------------------
 

@@ -38,11 +38,10 @@ Degrees beyond the budget are marked unavailable with the reason instead
 of being guessed.
 """
 
-from dataclasses import dataclass
-
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix, d1_matrix
 from .qci_algebra import mat_apply, twisted_bimodule
+from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 from .twisted_resolution import Census, ResolutionWindow
 
@@ -59,19 +58,16 @@ def coefficient_name(k):
     return "regular" if k == 0 else f"nu^{k}"
 
 
-@dataclass(frozen=True)
-class TateRequest:
+class TateRequest(Record):
     """A rectangular slice of the stable (co)homology table."""
 
-    algebra: object
-    n_min: int
-    n_max: int
-    variant: str = "homology"
-    nakayama_power: int = 0
-    method: str = "auto"
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("algebra", "n_min", "n_max", "variant", "nakayama_power",
+                 "method", "budget")
 
-    def __post_init__(self):
+    def __init__(self, algebra, n_min, n_max, variant="homology",
+                 nakayama_power=0, method="auto", budget=DEFAULT_BUDGET):
+        self._assign(algebra, n_min, n_max, variant, nakayama_power, method,
+                     budget)
         if self.n_min > self.n_max:
             raise ValueError("empty degree window")
         if self.variant not in VARIANTS:
@@ -86,12 +82,12 @@ class TateRequest:
         return range(self.n_min, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    degree: int
-    dimension: object  # int, or None when unavailable
-    method: str
-    source: str = ""
+class TableEntry(Record):
+    __slots__ = ("degree", "dimension", "method", "source")
+
+    def __init__(self, degree, dimension, method, source=""):
+        # dimension: int, or None when unavailable
+        self._assign(degree, dimension, method, source)
 
 
 class DimensionTable:
@@ -238,7 +234,9 @@ class TateWindow(ChainComplexWindow):
         if n == 0:  # the norm map
             return d0_matrix(A, A.nakayama(j))
         if self.kind is ResolutionWindow and n == 1:
-            return d1_matrix(A, A.nakayama(j)).scale(A.field.neg(A.field.one))
+            d1 = d1_matrix(A, A.nakayama(j))
+            return SparseMatrix(A.field, d1.nrows, d1.ncols, (
+                (row, col, A.field.neg(v)) for row, col, v in d1.entries()))
         if self.kind is ResolutionWindow and n == -1:
             # column block w of d1 becomes row block w
             d1 = d1_matrix(A, A.nakayama(j + 1))

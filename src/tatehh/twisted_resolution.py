@@ -34,9 +34,10 @@ one table of edge records under the same key.
 
 Scalars are integers: a block is kept as integer entries over one
 denominator, in lowest terms, built from integer powers of the numerator
-and denominator of each q_uv (cached per callable).  Over GF(p) the
-integers are residues and the denominator is 1.  Called with a degree, the
-callable divides back to the map itself.
+and denominator of each q_uv (QciAlgebra.q_power, cached per algebra, so
+both halves of a request share them).  Over GF(p) the integers are
+residues and the denominator is 1.  Called with a degree, the callable
+divides back to the map itself.
 
 Grading: when B is A with its monomial basis (a Nakayama twist), both
 complexes are Z^c-graded.  The basis element x^m e_i (x^m in the summand of
@@ -189,28 +190,19 @@ class _Assembly:
     """The maps of B (x) P (homology) or Hom(P, B) (cohomology) for one B.
 
     Every degree shares one table each of summand blocks, under
-    ``block_key``, integer powers of the q_uv and generator lists.
+    ``block_key``, and generator lists; the integer powers of the q_uv
+    are the algebra's.
     """
 
     def __init__(self, B, variant):
         self.B, self.variant = B, variant
         self.sandwiches = _sandwiches(B)
-        self.blocks, self.bases, self.powers = {}, {}, {}
+        self.blocks, self.bases = {}, {}
 
     def generators(self, n):
         if n not in self.bases:
             self.bases[n] = generators(self.B.algebra.c, n)
         return self.bases[n]
-
-    def power(self, u, v, k):
-        """q_uv^k as (numerator, denominator), integers; over GF(p) the
-        residue and 1."""
-        key = (u, v, k)
-        if key not in self.powers:
-            x, p = self.B.algebra.q[u][v], self.B.field.characteristic
-            self.powers[key] = (pow(x, k, p), 1) if p else \
-                (x.numerator ** k, x.denominator ** k)
-        return self.powers[key]
 
     def block(self, i, w):
         key = block_key(i, w)
@@ -221,7 +213,8 @@ class _Assembly:
     def evaluate(self, key):
         """The block under ``key`` (w, i with i_w mod 2), not memoised."""
         w, i = key
-        return _block(self.B, self.sandwiches, self.power, i, w, self.variant)
+        return _block(self.B, self.sandwiches, self.B.algebra.q_power, i, w,
+                      self.variant)
 
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tatehh.closed_forms import ci_dim, exterior_dim, lower_bound
-from tatehh.exact_field import QQ, PrimeField
+from tatehh.exact_field import QQ, PrimeField, scalar_pow
 from tatehh.near_zero import (
     build_s,
     check_exactness_claim,
@@ -27,6 +28,8 @@ from tatehh.qci_algebra import (
     exterior_algebra,
     truncated_polynomial_algebra,
 )
+
+from oracles import oracle_multiply
 
 
 def test_build_s_one_variable():
@@ -206,3 +209,76 @@ def test_both_map_routes_agree_entrywise(A, kind):
         psi = tuple(A.field.of_int(rng.choice([1, 2, 3, -1])) for _ in range(A.c))
     assert d0_matrix(A, psi) == d0_matrix_via_s(A, psi)
     assert d1_matrix(A, psi) == d1_matrix_via_f(A, psi)
+
+
+# generated QCIs: every c from 2 to 5, dim <= 32
+GENERATED_SHAPES = [(2, 2), (3, 2), (2, 4), (3, 3), (4, 4), (2, 8), (8, 4),
+                    (2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 2, 8), (3, 3, 3),
+                    (2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 4),
+                    (2, 2, 2, 2, 2)]
+GENERATED_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5),
+                    PrimeField(7)]
+# +-1 included: over QQ the only roots of unity, over GF(p) every unit is one
+GENERATED_QQ_UNITS = [Fraction(v) for v in (1, -1, 2, -2, 3)] + \
+    [Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3)]
+
+
+def units(field):
+    if field.characteristic:
+        return st.integers(1, field.characteristic - 1)
+    return st.sampled_from(GENERATED_QQ_UNITS)
+
+
+@st.composite
+def generated_qcis(draw):
+    field = draw(st.sampled_from(GENERATED_FIELDS))
+    exponents = draw(st.sampled_from(GENERATED_SHAPES))
+    c = len(exponents)
+    q = [[field.one] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i + 1, c):
+            q[i][j] = draw(units(field))
+            q[j][i] = field.inv(q[i][j])
+    return QciAlgebra(field, exponents, q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(generated_qcis(), st.data())
+def test_property_literal_maps_match_structural_maps(A, data):
+    """The literal d0 and d1, built from the algebra's q-power table, equal
+    the induced actions of s and of 1 (x) x_w - x_w (x) 1 entrywise, for
+    every Nakayama power in -2..2 and a random unit twist."""
+    twists = [A.nakayama(j) for j in range(-2, 3)]
+    twists.append(tuple(data.draw(units(A.field)) for _ in range(A.c)))
+    for psi in twists:
+        assert d0_matrix(A, psi) == d0_matrix_via_s(A, psi)
+        assert d1_matrix(A, psi) == d1_matrix_via_f(A, psi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(generated_qcis(), st.data())
+def test_property_q_power_table_matches_field_powers(A, data):
+    """q_power, the Nakayama scalars and the closed-form monomial product
+    against field powers and the rewriting oracle."""
+    field = A.field
+    for u in range(A.c):
+        for v in range(A.c):
+            for k in range(-5, 6):
+                assert A.scalar(*A.q_power(u, v, k)) == \
+                    scalar_pow(field, A.q[u][v], k)
+    for j in range(-2, 3):
+        expected = []
+        for w in range(A.c):
+            alpha = field.one
+            for i, a in enumerate(A.exponents):
+                alpha = field.mul(alpha, scalar_pow(field, A.q[i][w], a - 1))
+            expected.append(scalar_pow(field, alpha, j))
+        assert A.nakayama(j) == tuple(expected)
+    monomials = A.monomials()
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(monomials),
+                                         st.sampled_from(monomials)),
+                               min_size=1, max_size=40))
+    for exps1, exps2 in pairs + [(A.monomial_exps(A.top_index),
+                                  A.monomial_exps(0))]:
+        assert A.multiply_monomials(exps1, exps2) == \
+            oracle_multiply(A, exps1, exps2)
