@@ -12,7 +12,6 @@ from .qci_algebra import (
     dual_bimodule,
     exterior_algebra,
     regular_bimodule,
-    retwist,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "hh_cohomology_dims",
     "hh_homology_dims",
     "regular_bimodule",
-    "retwist",
     "tate_dims",
     "tate_hh0",
     "truncated_polynomial_algebra",

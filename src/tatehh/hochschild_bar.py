@@ -65,40 +65,37 @@ class HochschildWindow:
     """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from one complex.
 
     A subclass supplies ``space_dim(A, dim_b, n)``, the size of degree n of
-    its (co)chain space, and ``differentials(B, variant)``, which returns the
-    map of degree n as a function of n: the boundary from degree n to n - 1
-    in homology (n >= 1), the coboundary from degree n to n + 1 in cohomology
-    (n >= 0); TateWindow reads the same two.  Degree n reads the space of
-    degree n + 1, so the budget caps those sizes up to n_max + 1.
-    Cohomology is stored relabelled into homological convention: cochain
-    degree n sits at chain degree (n_max + 1) - n of ``window``, so the
-    composition-zero check of ChainComplexWindow applies verbatim and every
-    degree 0..n_max is interior.
+    its (co)chain space, and hands ``_build`` A, dim B and the map of degree
+    n as a function of n: the boundary from degree n to n - 1 in homology
+    (n >= 1), the coboundary from degree n to n + 1 in cohomology (n >= 0).
+    Degree n reads the space of degree n + 1, so the budget caps those sizes
+    up to n_max + 1.  Cohomology is stored relabelled into homological
+    convention: cochain degree n sits at chain degree (n_max + 1) - n of
+    ``window``, so the composition-zero check of ChainComplexWindow applies
+    verbatim and every degree 0..n_max is interior.
     """
 
-    def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
+    def _build(self, A, dim_b, n_max, variant, budget, d):
         if budget < 1:
             raise ValueError("budget must be positive")
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         if variant not in ("homology", "cohomology"):
             raise ValueError(f"unknown variant {variant!r}")
-        self.B = B
         self.n_max = n_max
         self.variant = variant
-        sizes = [self.space_dim(B.algebra, B.dim, n) for n in range(n_max + 2)]
+        sizes = [self.space_dim(A, dim_b, n) for n in range(n_max + 2)]
         for n in range(n_max + 1):
             if sizes[n + 1] > budget:
                 raise BudgetExceeded(n, sizes[n + 1], budget)
         spaces = {self.position(n): size for n, size in enumerate(sizes)}
         spaces[self.position(-1)] = 0
-        d = self.differentials(B, variant)
         if variant == "homology":
             maps = {n: d(n) for n in range(1, n_max + 2)}
-            maps[0] = SparseMatrix(B.field, 0, sizes[0])
+            maps[0] = SparseMatrix(A.field, 0, sizes[0])
         else:
             maps = {self.position(n): d(n) for n in range(n_max + 1)}
-            maps[self.position(-1)] = SparseMatrix(B.field, sizes[0], 0)
+            maps[self.position(-1)] = SparseMatrix(A.field, sizes[0], 0)
         self.window = ChainComplexWindow(sorted(spaces, reverse=True),
                                          spaces, maps)
 
@@ -225,6 +222,11 @@ def coboundary_matrix(B, n):
 
 class BarWindow(HochschildWindow):
     """The bar complexes, (dim B)(dim A)^n coordinates in degree n."""
+
+    def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
+        self.B = B
+        self._build(B.algebra, B.dim, n_max, variant, budget,
+                    self.differentials(B, variant))
 
     @staticmethod
     def space_dim(A, dim_b, n):

@@ -131,18 +131,24 @@ def check_exactness_claim(A):
 # ---------------------------------------------------------------------------
 
 
-def d1_matrix(A, psi):
-    """Literal first map: domain has c blocks of monomials, block w for the
-    w-th free generator; single output per basis vector, psi_w L - R with
-    the characters L and R of A.generator_characters."""
+def d1_terms(A, psi, sign=1):
+    """sign * d1 as (w, idx, target, v): x^idx in block w goes to v x^target,
+    v = sign (psi_w L - R)(x^idx), L and R from A.generator_characters."""
     A.validate_twist(psi)
+    return ((w, idx, target,
+             A.scalar(sign * (alpha.numerator * a - alpha.denominator * b),
+                      alpha.denominator * d))
+            for w, (alpha, characters) in enumerate(
+                zip(psi, A.generator_characters()))
+            for idx, target, a, b, d in characters)
+
+
+def d1_matrix(A, psi, sign=1):
+    """Literal first map times sign: domain has c blocks of monomials, block
+    w for the w-th free generator; single output per basis vector."""
     return SparseMatrix(A.field, A.dim, A.dim * A.c, (
-        (target, idx + A.dim * w,
-         A.scalar(alpha.numerator * a - alpha.denominator * b,
-                  alpha.denominator * d))
-        for w, (alpha, characters) in enumerate(
-            zip(psi, A.generator_characters()))
-        for idx, target, a, b, d in characters))
+        (target, idx + A.dim * w, v)
+        for w, idx, target, v in d1_terms(A, psi, sign)))
 
 
 def d0_matrix(A, psi):

@@ -116,6 +116,7 @@ class QciAlgebra:
         self._exps_cache = [self._index_to_exps(i) for i in range(self.dim)]
         self._struct = None
         self._powers, self._nakayama, self._characters = {}, {}, None
+        self._checked = False
 
     # -- monomial indexing ---------------------------------------------------
 
@@ -223,6 +224,43 @@ class QciAlgebra:
                 self._characters.append(row)
         return self._characters
 
+    def check_characters(self):
+        """Once per algebra, check generator_characters() in integers (mod
+        p over GF(p)) at every monomial m where both sides are defined: for
+        u < v, x_u x_v m = q_uv x_v x_u m and m x_u x_v = q_uv m x_v x_u; for
+        all u, v, x_u (m x_v) = (x_u m) x_v.  A failure raises ValueError
+        naming the relation, the generators and the monomial."""
+        if self._checked:
+            return
+        p = self.field.characteristic
+        steps = [{idx: rest for idx, *rest in row}
+                 for row in self.generator_characters()]
+        for u, su in enumerate(steps):
+            for v, sv in enumerate(steps):
+                qn, qd = self.q_power(u, v, 1)
+                for m, (mu, lu, ru, du) in su.items():
+                    mv, lv, rv, dv = sv.get(m, (None,) * 4)
+                    if mv not in su or mu not in sv:
+                        continue
+                    _, luv, ruv, duv = su[mv]  # x_v first, then x_u
+                    _, lvu, rvu, dvu = sv[mu]  # x_u first, then x_v
+                    # each relation as X / (dv duv) = Y / (du dvu)
+                    relations = [("left and right actions commute",
+                                  luv * rv, lu * rvu)]
+                    if u < v:
+                        relations += [
+                            ("left actions q-commute",
+                             qd * luv * lv, qn * lvu * lu),
+                            ("right actions q-commute",
+                             qn * rv * ruv, qd * ru * rvu)]
+                    for name, x, y in relations:
+                        diff = x * du * dvu - y * dv * duv
+                        if diff % p if p else diff:
+                            raise ValueError(
+                                f"{name} fails for generators {u}, {v} at "
+                                f"monomial {self._exps_cache[m]}")
+        self._checked = True
+
     def structure_constants(self):
         """Cached basis-product table {(i, j): (coeff, k)}; zeros omitted."""
         if self._struct is None:
@@ -236,30 +274,7 @@ class QciAlgebra:
             self._struct = table
         return self._struct
 
-    def multiply(self, u, v):
-        """Product of two elements given as dicts {monomial index: coeff}."""
-        field = self.field
-        table = self.structure_constants()
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                hit = table.get((i, j))
-                if hit is None:
-                    continue
-                coeff, k = hit
-                val = field.add(out.get(k, field.zero),
-                                field.mul(field.mul(ci, cj), coeff))
-                if val == field.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = val
-        return out
-
     # -- Frobenius structure ---------------------------------------------------
-
-    def frobenius_functional(self, u):
-        """Coefficient of the socle monomial in the element u."""
-        return u.get(self.top_index, self.field.zero)
 
     def nakayama(self, k=1):
         """Diagonal twist scalars of the k-th power of the Nakayama map.
@@ -291,15 +306,6 @@ class QciAlgebra:
         for w, alpha in enumerate(f):
             if alpha == self.field.zero:
                 raise ValueError(f"twist scalar {w} must be a unit")
-
-    def twist_compose(self, f, g):
-        return tuple(self.field.mul(a, b) for a, b in zip(f, g))
-
-    def twist_inverse(self, f):
-        return tuple(self.field.inv(a) for a in f)
-
-    def twist_pow(self, f, k):
-        return tuple(scalar_pow(self.field, a, k) for a in f)
 
     def twist_apply(self, f, exps):
         """Scalar by which the twist acts on a monomial with these exponents."""
@@ -427,38 +433,6 @@ class Bimodule:
             self._right_mono[mono_idx] = cols
         return cols
 
-    def left_apply(self, element, vec):
-        """Left action of an algebra element (dict) on a module vector (dict)."""
-        out = {}
-        field = self.field
-        for mono, coeff in element.items():
-            part = mat_apply(field, self.left_monomial(mono), vec)
-            for i, v in part.items():
-                val = field.add(out.get(i, field.zero), field.mul(coeff, v))
-                if val == field.zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = val
-        return out
-
-    def right_apply(self, vec, element):
-        out = {}
-        field = self.field
-        for mono, coeff in element.items():
-            part = mat_apply(field, self.right_monomial(mono), vec)
-            for i, v in part.items():
-                val = field.add(out.get(i, field.zero), field.mul(coeff, v))
-                if val == field.zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = val
-        return out
-
-    def equal_actions(self, other):
-        return (self.dim == other.dim
-                and all(a == b for a, b in zip(self.left, other.left))
-                and all(a == b for a, b in zip(self.right, other.right)))
-
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
         return f"Bimodule(dim={self.dim}{tag})"
@@ -517,19 +491,3 @@ def dual_bimodule(B, label=None):
         label = f"dual({B.label})" if B.label else "dual"
     return Bimodule(B.algebra, left, right, label=label)
 
-
-def retwist(B, f=None, g=None, label=None):
-    """Scale the left action by a diagonal twist f and the right by g."""
-    A = B.algebra
-    field = B.field
-    if f is None:
-        f = A.identity_twist()
-    if g is None:
-        g = A.identity_twist()
-    A.validate_twist(f)
-    A.validate_twist(g)
-    left = [mat_scale(field, f[w], B.left[w]) for w in range(A.c)]
-    right = [mat_scale(field, g[w], B.right[w]) for w in range(A.c)]
-    if label is None:
-        label = f"retwist({B.label})" if B.label else "retwist"
-    return Bimodule(A, left, right, label=label)

@@ -18,9 +18,9 @@ column:
 
   auto      resolution: the twisted-tensor resolution (twisted_resolution),
             within the element budget; chain degrees >= 1 and <= -2 by the
-            label census of each half (Census, no matrix), the splice
-            degrees 0 and -1 from a TateWindow on [-1, 0], which builds no
-            bimodule;
+            label census of each half (Census(A, j, ...), no matrix), the
+            splice degrees 0 and -1 from a TateWindow on [-1, 0]; neither
+            builds a bimodule;
   bar_only  oracle: the spliced complex of the bar resolution
             (hochschild_bar), within the element budget, so that it stays
             an independent check (cross_validate).
@@ -39,7 +39,7 @@ of being guessed.
 """
 
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
-from .near_zero import d0_matrix, d1_matrix
+from .near_zero import d0_matrix, d1_matrix, d1_terms
 from .qci_algebra import mat_apply, twisted_bimodule
 from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
@@ -203,9 +203,10 @@ class TateWindow(ChainComplexWindow):
     the reference for the label census.
 
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
-    the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution's
-    maps next to the splice are near_zero's literal blocks, so a window
-    inside [-2, 1] builds no bimodule; the bar complex uses its own.
+    the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution
+    builds no bimodule: next to the splice it lays near_zero's literal d1
+    out once per map, elsewhere it reads A's characters (Census); the bar
+    complex builds B_j with nakayama_module.
     ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
     Composition-zero is checked at construction, across the splice too.
     """
@@ -234,15 +235,12 @@ class TateWindow(ChainComplexWindow):
         if n == 0:  # the norm map
             return d0_matrix(A, A.nakayama(j))
         if self.kind is ResolutionWindow and n == 1:
-            d1 = d1_matrix(A, A.nakayama(j))
-            return SparseMatrix(A.field, d1.nrows, d1.ncols, (
-                (row, col, A.field.neg(v)) for row, col, v in d1.entries()))
+            return d1_matrix(A, A.nakayama(j), -1)
         if self.kind is ResolutionWindow and n == -1:
             # column block w of d1 becomes row block w
-            d1 = d1_matrix(A, A.nakayama(j + 1))
-            return SparseMatrix(A.field, d1.ncols, d1.nrows, (
-                (row + A.dim * (col // A.dim), col % A.dim, v)
-                for row, col, v in d1.entries()))
+            return SparseMatrix(A.field, A.dim * A.c, A.dim, (
+                (target + A.dim * w, idx, v)
+                for w, idx, target, v in d1_terms(A, A.nakayama(j + 1))))
         if n >= 1:
             half, degree = self._half(j, "homology"), n
         else:
@@ -251,8 +249,10 @@ class TateWindow(ChainComplexWindow):
 
     def _half(self, j, variant):
         if variant not in self._halves:
-            self._halves[variant] = self.kind.differentials(
-                nakayama_module(self.A, j), variant)
+            self._halves[variant] = \
+                ResolutionWindow.differentials(self.A, j, variant) \
+                if self.kind is ResolutionWindow else \
+                BarWindow.differentials(nakayama_module(self.A, j), variant)
         return self._halves[variant]
 
 
@@ -305,7 +305,7 @@ class _Session:
 
     def _census(self, chain):
         """H_t by label census outside the splice, and from a spliced
-        resolution window on [-1, 0], which builds no bimodule, inside it."""
+        resolution window on [-1, 0] inside it, with no bimodule."""
         A, j = self.req.algebra, self.twist()
         splice = [t for t in chain if -1 <= t <= 0]
         dims = self._window(splice, ResolutionWindow) if splice else {}
@@ -313,7 +313,7 @@ class _Session:
                 (j, "homology", [t for t in chain if t >= 1]),
                 (j + 1, "cohomology", [-t - 1 for t in chain if t <= -2])):
             if degrees:
-                census = Census(nakayama_module(A, twist), variant, degrees)
+                census = Census(A, twist, variant, degrees)
                 dims.update((n if variant == "homology" else -n - 1,
                              census.dimension(n)) for n in degrees)
         return dims

@@ -21,31 +21,34 @@ v-th factor, e' = e_{i - e_w} and s = (-1)^{i_1 + ... + i_{w-1}},
 
 A term x_w^j e' x_w^k acts on a B summand as b -> x_w^k b x_w^j in homology
 and f -> x_w^j f x_w^k in cohomology.  Windows are ChainComplexWindows, so
-composition-zero is re-checked at construction; the twisting scalars are
-further pinned against the bar complex, DeltaComplex and an unmemoised copy
-of this formula in the tests.
+composition-zero is re-checked at construction; the tests pin the scalars
+to the bar complex, DeltaComplex and an unmemoised copy of this formula.
 
-The summand block of s T_w depends only on w, the parity of i_w, the depths
-D_v(i) for v != w and the parity of i_1 + ... + i_{w-1}.  D_v is injective
-in i_v, so that key (block_key) is w with i, i_w taken mod 2; the callable
-that ``ResolutionWindow.differentials`` returns keeps one table of blocks
-under it, so every degree it builds shares each block, and Census keeps
-one table of edge records under the same key.
+Coefficients are B = nu^j: A with x_w . b = nu_w^j x_w b, nu_w =
+prod_i q_iw^(a_i - 1).  With the characters x_w x^e = L_w(e) x^(e + e_w)
+and x^e x_w = R_w(e) x^(e + e_w) (QciAlgebra.generator_characters), each
+sandwich b -> x_w^k b x_w^l is a weighted shift (``sandwiches``):
 
-Scalars are integers: a block is kept as integer entries over one
-denominator, in lowest terms, built from integer powers of the numerator
-and denominator of each q_uv (QciAlgebra.q_power, cached per algebra, so
-both halves of a request share them).  Over GF(p) the integers are
-residues and the denominator is 1.  Called with a degree, the callable
-divides back to the map itself.
+    x^e -> nu_w^(jk) R_w(e) ... R_w(e + (l-1) e_w)
+           L_w(e + l e_w) ... L_w(e + (k+l-1) e_w) x^(e + (k+l) e_w).
 
-Grading: when B is A with its monomial basis (a Nakayama twist), both
-complexes are Z^c-graded.  The basis element x^m e_i (x^m in the summand of
+So no Bimodule is built: _Assembly, ResolutionWindow and Census take
+(A, j).  What a Bimodule checks of its actions (left actions q-commute,
+right ones too, the sides commute) QciAlgebra.check_characters checks of
+L and R, once per algebra: nu_w^j scales both sides of each relation
+alike, so the check holds for every j.
+
+The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
+for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
+so its key (block_key) is w with i, i_w taken mod 2, under which an
+_Assembly keeps its blocks and Census its edge records.  A block is integer
+entries over one denominator in lowest terms (residues over GF(p)).
+
+Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
 every differential preserves it, since x_w^j e' x_w^k has j + k =
-D_w(i) - D_w(i - e_w).  The resolution route counts over this grading
-(Census); the spliced reference window (tate_engine.TateWindow) holds the
-maps whole.
+D_w(i) - D_w(i - e_w).  Census counts over this grading; the spliced
+reference window (tate_engine.TateWindow) holds the maps whole.
 
 Label census.  Write delta = D_w(i) - D_w(i - e_w): 1 for odd i_w, a_w - 1
 for even i_w.  Per w, a label lambda allows one value of i_w or two
@@ -78,8 +81,8 @@ d_(n+1) = 0) and that its opposite edges agree in being zero; it also
 checks once per block key that every entry of a block joins the monomials
 above.  Each failure raises ValueError.
 
-Edge lemma (not used by Census, which reads the blocks; tests/oracles.py
-evaluates it, and the tests pin every block's zero pattern to it).  For
+Edge lemma (Census reads the blocks; the tests pin every block's zero
+pattern to this, evaluated in tests/oracles.py).  For
 B = nu^j with Nakayama scalars n = A.nakayama(j), A_w(lambda) =
 prod_{v<w} q_vw^lambda_v and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v,
 every w-edge at label lambda is +-(a unit) times E, with E = A_w - B_w for
@@ -92,8 +95,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .hochschild_bar import HochschildWindow
-from .qci_algebra import mat_identity, mat_mul
+from .hochschild_bar import DEFAULT_BUDGET, HochschildWindow
 from .sparse_linalg import SparseMatrix
 
 
@@ -110,26 +112,32 @@ def chain_space_dim(c, dim_b, n):
     return comb(n + c - 1, c - 1) * dim_b
 
 
-def _sandwiches(B):
-    """(den, {(w, k, j): entries}) for k + j in {1, a_w - 1}: the matrix of
-    b -> x_w^k b x_w^j has the nonzero entries (row, col, v / den), with v
-    an integer (a residue, and den = 1, over GF(p)) and one den for every
-    matrix."""
-    field, dim = B.field, B.dim
+def sandwiches(A, j):
+    """(den, {(w, k, l): entries}) for k + l in {1, a_w - 1}: the matrix of
+    b -> x_w^k b x_w^l on B = nu^j has the nonzero entries (row, col,
+    v / den), with v an integer (a residue, and den = 1, over GF(p)) and one
+    den for every matrix.  Read from A's checked characters."""
+    A.check_characters()
     out = {}
-    for w, a in enumerate(B.algebra.exponents):
-        left, right = [mat_identity(field, dim)], [mat_identity(field, dim)]
-        for _ in range(a - 1):
-            left.append(mat_mul(field, B.left[w], left[-1]))
-            right.append(mat_mul(field, B.right[w], right[-1]))
-        for k, j in {(1, 0), (0, 1)} | {(a - 1 - j, j) for j in range(a)}:
-            out[(w, k, j)] = mat_mul(field, left[k], right[j])
-    den = lcm(*(v.denominator for columns in out.values()
-                for column in columns for v in column.values()))
-    return den, {key: [(row, col, v.numerator * (den // v.denominator))
-                       for col, column in enumerate(columns)
-                       for row, v in column.items()]
-                 for key, columns in out.items()}
+    for w, (a, characters) in enumerate(zip(A.exponents,
+                                            A.generator_characters())):
+        step = {idx: rest for idx, *rest in characters}
+        for k, l in {(1, 0), (0, 1)} | {(a - 1 - l, l) for l in range(a)}:
+            nu = A.nakayama(j * k)[w]  # nu_w^(jk)
+            entries = out[w, k, l] = []
+            for col, exps in enumerate(A.monomials()):
+                if exps[w] + k + l < a:  # R_w l times, then L_w k times
+                    row, num, den = col, nu.numerator, nu.denominator
+                    for t in range(k + l):
+                        row, left, right, d = step[row]
+                        num, den = num * (right if t < l else left), den * d
+                    g = gcd(num, den)
+                    entries.append((row, col, num // g, den // g))
+    p = A.field.characteristic
+    den = 1 if p else lcm(*(d for entries in out.values() for *_, d in entries))
+    return den, {key: [(row, col, v % p if p else v * (den // d))
+                       for row, col, v, d in entries]
+                 for key, entries in out.items()}
 
 
 def depth(a, k):
@@ -143,14 +151,13 @@ def block_key(i, w):
     return w, i[:w] + (i[w] % 2,) + i[w + 1:]
 
 
-def _block(B, sandwiches, power, i, w, variant):
+def _block(A, sandwiches, i, w, variant):
     """The map on one B summand induced by s T_w for the generator e_i, as
     (den, entries): its nonzero entries are (row, col, v / den), v an
     integer, in lowest terms.  Over GF(p) each v is a residue and den is 1.
-    ``power(u, v, k)`` is q_uv^k as (numerator, denominator).
+    ``sandwiches`` is the table of B = nu^j.
     """
-    A = B.algebra
-    a = A.exponents[w]
+    power, a = A.q_power, A.exponents[w]
     # alpha = an / ad and beta = bn / bd
     an = ad = bn = bd = 1
     for v in range(w):
@@ -176,7 +183,7 @@ def _block(B, sandwiches, power, i, w, variant):
         scalar *= sign
         for row, col, v in matrices[key]:
             out[row, col] = out.get((row, col), 0) + scalar * v
-    p = B.field.characteristic
+    p = A.field.characteristic
     if p:
         return 1, [(row, col, v % p) for (row, col), v in out.items()
                    if v % p]
@@ -187,21 +194,20 @@ def _block(B, sandwiches, power, i, w, variant):
 
 
 class _Assembly:
-    """The maps of B (x) P (homology) or Hom(P, B) (cohomology) for one B.
+    """The maps of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j.
 
     Every degree shares one table each of summand blocks, under
-    ``block_key``, and generator lists; the integer powers of the q_uv
-    are the algebra's.
+    ``block_key``, and generator lists.
     """
 
-    def __init__(self, B, variant):
-        self.B, self.variant = B, variant
-        self.sandwiches = _sandwiches(B)
+    def __init__(self, A, j, variant):
+        self.A, self.variant = A, variant
+        self.sandwiches = sandwiches(A, j)
         self.blocks, self.bases = {}, {}
 
     def generators(self, n):
         if n not in self.bases:
-            self.bases[n] = generators(self.B.algebra.c, n)
+            self.bases[n] = generators(self.A.c, n)
         return self.bases[n]
 
     def block(self, i, w):
@@ -213,14 +219,13 @@ class _Assembly:
     def evaluate(self, key):
         """The block under ``key`` (w, i with i_w mod 2), not memoised."""
         w, i = key
-        return _block(self.B, self.sandwiches, self.B.algebra.q_power, i, w,
-                      self.variant)
+        return _block(self.A, self.sandwiches, i, w, self.variant)
 
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology
         (n >= 1), the coboundary from degree n to n + 1 in cohomology."""
-        B, variant = self.B, self.variant
-        c, dim = B.algebra.c, B.dim
+        A, variant = self.A, self.variant
+        c, dim = A.c, A.dim
         top = n if variant == "homology" else n + 1
         index = {i: t for t, i in enumerate(self.generators(top - 1))}
         parts = []  # (row offset, column offset, den, entries) per summand
@@ -235,9 +240,9 @@ class _Assembly:
         rows, cols = (top - 1, top) if variant == "homology" \
             else (top, top - 1)
         # every den is 1 over GF(p)
-        value = Fraction if B.field.characteristic == 0 else mul
+        value = Fraction if A.field.characteristic == 0 else mul
         return SparseMatrix(
-            B.field, chain_space_dim(c, dim, rows),
+            A.field, chain_space_dim(c, dim, rows),
             chain_space_dim(c, dim, cols), (
                 (row_off + row, col_off + col, value(v, den))
                 for row_off, col_off, den, entries in parts
@@ -245,34 +250,40 @@ class _Assembly:
 
 
 class ResolutionWindow(HochschildWindow):
-    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from the resolution."""
+    """HH_n(A, nu^j) or HH^n(A, nu^j) for n = 0..n_max from the
+    resolution."""
+
+    def __init__(self, A, j, n_max, variant="homology",
+                 budget=DEFAULT_BUDGET):
+        self._build(A, A.dim, n_max, variant, budget,
+                    self.differentials(A, j, variant))
 
     @staticmethod
     def space_dim(A, dim_b, n):
         return chain_space_dim(A.c, dim_b, n)
 
     @staticmethod
-    def differentials(B, variant):
-        return _Assembly(B, variant)
+    def differentials(A, j, variant):
+        return _Assembly(A, j, variant)
 
 
 class Census:
-    """dim H_n of B (x) P (homology) or Hom(P, B) (cohomology) for each n
-    in ``degrees`` (n >= 1), by counting label cubes (module docstring), for
-    B = A with its monomial basis (a Nakayama twist).
+    """dim H_n of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j,
+    for each n in ``degrees`` (n >= 1), by counting label cubes (module
+    docstring), with no Bimodule and no matrix.
 
-    Construction evaluates every summand block of the maps out of and into
-    degree n once per block key (``_Assembly.evaluate``) and checks that
-    each entry joins the monomials its multidegree allows; then it checks
-    every label square with its upper vertex in degree n + 1: the square
-    anticommutes (d o d = 0 there) and its opposite edges agree in being
-    zero.  A failure raises ValueError.  No matrix is built.
+    Construction checks A's characters (once per algebra), evaluates every
+    summand block of the maps out of and into degree n once per block key
+    (``_Assembly.evaluate``) and checks that each entry joins the monomials
+    its multidegree allows; then it checks every label square with its
+    upper vertex in degree n + 1: the square anticommutes (d o d = 0 there)
+    and its opposite edges agree in being zero.  A failure raises
+    ValueError.
     """
 
-    def __init__(self, B, variant, degrees):
-        A = B.algebra
-        self.assembly = _Assembly(B, variant)
-        self.variant, self.c, self.p = variant, A.c, B.field.characteristic
+    def __init__(self, A, j, variant, degrees):
+        self.assembly = _Assembly(A, j, variant)
+        self.variant, self.c, self.p = variant, A.c, A.field.characteristic
         self.full = (1 << A.dim) - 1
         sign = 1 if variant == "homology" else -1
         # lower[w][parity of i_w at the upper vertex][m]: the monomial that

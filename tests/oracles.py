@@ -5,10 +5,17 @@ are normalized by single-swap string rewriting instead of insertion
 reordering, and ranks come from dense Gaussian elimination on row lists.
 The published counts are read from tatehh.closed_forms; which of them
 applies to a table cell is decided here (closed_form_dim).
+
+The element-level helpers below the oracles (multiply, the twist group
+operations, the bimodule actions on elements and retwist) are the tests'
+own API over the package's structure constants and action matrices; no
+route of the package reads them.
 """
 
 from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, \
     codim2_homology_dim, exterior_dim
+from tatehh.exact_field import scalar_pow
+from tatehh.qci_algebra import Bimodule, mat_apply, mat_scale
 
 
 def rewrite_word(field, exponents, q, word):
@@ -95,8 +102,8 @@ def commutator_space_dim(A):
         u = {i: field.one}
         for j in range(A.dim):
             v = {j: field.one}
-            uv = A.multiply(u, v)
-            vu = A.multiply(v, u)
+            uv = multiply(A, u, v)
+            vu = multiply(A, v, u)
             row = [field.sub(uv.get(k, field.zero), vu.get(k, field.zero))
                    for k in range(A.dim)]
             if any(x != field.zero for x in row):
@@ -116,8 +123,8 @@ def center_dim(A):
             row = []
             for i in range(A.dim):
                 e = {i: field.one}
-                left = A.multiply(e, b).get(k, field.zero)
-                right = A.multiply(b, e).get(k, field.zero)
+                left = multiply(A, e, b).get(k, field.zero)
+                right = multiply(A, b, e).get(k, field.zero)
                 row.append(field.sub(left, right))
             rows.append(row)
     return A.dim - dense_rank(field, rows)
@@ -325,3 +332,80 @@ def edge_lemma_scalar(A, power, w, odd, label):
             _field_power(field, alpha, t),
             _field_power(field, beta, a - 1 - t)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# elements, twists and bimodule actions: dicts {basis index: scalar}
+# ---------------------------------------------------------------------------
+
+
+def _accumulate(field, out, key, value):
+    value = field.add(out.get(key, field.zero), value)
+    if value == field.zero:
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
+def multiply(A, u, v):
+    """Product of two algebra elements, from A.structure_constants()."""
+    field, table = A.field, A.structure_constants()
+    out = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            hit = table.get((i, j))
+            if hit is not None:
+                coeff, k = hit
+                _accumulate(field, out, k, field.mul(field.mul(ci, cj), coeff))
+    return out
+
+
+def frobenius_functional(A, u):
+    """Coefficient of the socle monomial in the element u."""
+    return u.get(A.top_index, A.field.zero)
+
+
+def twist_compose(A, f, g):
+    return tuple(A.field.mul(a, b) for a, b in zip(f, g))
+
+
+def twist_inverse(A, f):
+    return tuple(A.field.inv(a) for a in f)
+
+
+def twist_pow(A, f, k):
+    return tuple(scalar_pow(A.field, a, k) for a in f)
+
+
+def _act(B, monomial_action, element, vec):
+    field, out = B.field, {}
+    for mono, coeff in element.items():
+        for i, v in mat_apply(field, monomial_action(mono), vec).items():
+            _accumulate(field, out, i, field.mul(coeff, v))
+    return out
+
+
+def left_apply(B, element, vec):
+    """Left action of an algebra element on a module vector."""
+    return _act(B, B.left_monomial, element, vec)
+
+
+def right_apply(B, vec, element):
+    """Right action of an algebra element on a module vector."""
+    return _act(B, B.right_monomial, element, vec)
+
+
+def equal_actions(B, C):
+    return B.dim == C.dim and B.left == C.left and B.right == C.right
+
+
+def retwist(B, f=None, g=None):
+    """B with the left action scaled by a diagonal twist f, the right by g."""
+    A, field = B.algebra, B.field
+    f = A.identity_twist() if f is None else f
+    g = A.identity_twist() if g is None else g
+    A.validate_twist(f)
+    A.validate_twist(g)
+    return Bimodule(A, [mat_scale(field, f[w], B.left[w]) for w in range(A.c)],
+                    [mat_scale(field, g[w], B.right[w]) for w in range(A.c)],
+                    label="retwist")

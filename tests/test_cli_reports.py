@@ -33,7 +33,7 @@ from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import d0_matrix
 from tatehh.tate_engine import TableEntry
 
-from oracles import is_commutative, is_exterior
+from oracles import is_commutative, is_exterior, twist_compose
 
 CODIM2_SPEC = """{
   "field": {"type": "rational"}, "c": 2, "exponents": [2, 2],
@@ -414,7 +414,7 @@ class TestVerify:
         # nu^{j+1} in place of nu^j in the norm map C_0 -> C_{-1}
         monkeypatch.setattr(
             tate_engine, "d0_matrix",
-            lambda A, psi: d0_matrix(A, A.twist_compose(psi, A.nakayama(1))))
+            lambda A, psi: d0_matrix(A, twist_compose(A, psi, A.nakayama(1))))
         rows = run_verify("duality", 1)
         assert any(not row["pass"] for row in rows
                    if "spliced" in row["check"])

@@ -14,13 +14,14 @@ from tatehh.qci_algebra import (
     exterior_algebra,
     mat_mul,
     regular_bimodule,
-    retwist,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
 
-from oracles import has_equal_exponents, is_commutative, is_exterior, \
-    oracle_multiply
+from oracles import equal_actions, frobenius_functional, \
+    has_equal_exponents, is_commutative, is_exterior, left_apply, multiply, \
+    oracle_multiply, retwist, right_apply, twist_compose, twist_inverse, \
+    twist_pow
 
 
 def sample_algebras():
@@ -124,7 +125,7 @@ def test_associativity_on_basis(A):
             v = {j: A.field.one}
             for k in range(A.dim):
                 w = {k: A.field.one}
-                assert A.multiply(A.multiply(u, v), w) == A.multiply(u, A.multiply(v, w))
+                assert multiply(A, multiply(A, u, v), w) == multiply(A, u, multiply(A, v, w))
 
 
 def test_element_multiply_cancellation():
@@ -132,15 +133,15 @@ def test_element_multiply_cancellation():
     one, x = {0: QQ.one}, {1: QQ.one}
     u = {0: QQ.one, 1: QQ.one}
     v = {0: QQ.one, 1: Fraction(-1)}
-    assert A.multiply(u, v) == one
-    assert A.multiply(x, x) == {}
+    assert multiply(A, u, v) == one
+    assert multiply(A, x, x) == {}
 
 
 def test_frobenius_functional_picks_socle():
     A = codim2_algebra(QQ, 3, 2, Fraction(2))
     u = {A.top_index: Fraction(5), 0: Fraction(7)}
-    assert A.frobenius_functional(u) == 5
-    assert A.frobenius_functional({0: Fraction(7)}) == 0
+    assert frobenius_functional(A, u) == 5
+    assert frobenius_functional(A, {0: Fraction(7)}) == 0
 
 
 def test_nakayama_codim2():
@@ -163,8 +164,8 @@ def test_twist_helpers():
     A = codim2_algebra(QQ, 2, 2, Fraction(3))
     f = (Fraction(2), Fraction(-1))
     g = (Fraction(1, 2), Fraction(3))
-    assert A.twist_compose(f, A.twist_inverse(f)) == A.identity_twist()
-    assert A.twist_pow(f, 3) == (Fraction(8), Fraction(-1))
+    assert twist_compose(A, f, twist_inverse(A, f)) == A.identity_twist()
+    assert twist_pow(A, f, 3) == (Fraction(8), Fraction(-1))
     assert A.twist_apply(f, (1, 1)) == -2
     with pytest.raises(ValueError):
         A.validate_twist((Fraction(1),))
@@ -195,8 +196,8 @@ def test_regular_bimodule_matches_algebra_product(A):
         u = {i: A.field.one}
         for j in range(A.dim):
             v = {j: A.field.one}
-            assert B.left_apply(u, v) == A.multiply(u, v)
-            assert B.right_apply(u, v) == A.multiply(u, v)
+            assert left_apply(B, u, v) == multiply(A, u, v)
+            assert right_apply(B, u, v) == multiply(A, u, v)
 
 
 def test_twisted_bimodule_scales_generator_actions():
@@ -208,12 +209,12 @@ def test_twisted_bimodule_scales_generator_actions():
         gen = {A.generator_index(w): QQ.one}
         for j in range(A.dim):
             v = {j: QQ.one}
-            plain = A.multiply(gen, v)
+            plain = multiply(A, gen, v)
             twisted = {k: QQ.mul(f[w - 1], c) for k, c in plain.items()}
-            assert B.left_apply(gen, v) == twisted
-            plain = A.multiply(v, gen)
+            assert left_apply(B, gen, v) == twisted
+            plain = multiply(A, v, gen)
             twisted = {k: QQ.mul(g[w - 1], c) for k, c in plain.items()}
-            assert B.right_apply(v, gen) == twisted
+            assert right_apply(B, v, gen) == twisted
 
 
 def test_bimodule_validation_rejects_broken_actions():
@@ -241,13 +242,14 @@ def test_dual_bimodule_validates_and_is_involutive(A):
     B = twisted_bimodule(A, nu, None)
     D = dual_bimodule(B)
     assert D.dim == B.dim
-    assert dual_bimodule(D).equal_actions(B)
+    assert equal_actions(dual_bimodule(D), B)
 
 
 def test_retwist_of_regular_equals_twisted():
     A = codim2_algebra(PrimeField(7), 2, 2, 3)
     f, g = (2, 4), (3, 5)
-    assert retwist(regular_bimodule(A), f, g).equal_actions(twisted_bimodule(A, f, g))
+    assert equal_actions(retwist(regular_bimodule(A), f, g),
+                         twisted_bimodule(A, f, g))
 
 
 @pytest.mark.parametrize("A", [codim2_algebra(QQ, 3, 2, Fraction(2)),
@@ -263,8 +265,8 @@ def test_twist_shift_isomorphism(A):
     f = tuple(field.of_int(k + 2) for k in range(A.c))
     g = tuple(field.of_int(3 * k + 5) for k in range(A.c))
     src = twisted_bimodule(A, f, g)
-    tgt = twisted_bimodule(A, A.twist_compose(f, A.twist_inverse(g)), None)
-    phi = [{j: A.twist_apply(A.twist_inverse(g), A.monomial_exps(j))}
+    tgt = twisted_bimodule(A, twist_compose(A, f, twist_inverse(A, g)), None)
+    phi = [{j: A.twist_apply(twist_inverse(A, g), A.monomial_exps(j))}
            for j in range(A.dim)]
     for w in range(A.c):
         assert mat_mul(field, phi, src.left[w]) == mat_mul(field, tgt.left[w], phi)

@@ -13,13 +13,14 @@ from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
 from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from tatehh.qci_algebra import Bimodule, QciAlgebra
-from tatehh.sparse_linalg import SparseMatrix
+from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
 from tatehh.twisted_resolution import Census, ResolutionWindow, \
     chain_space_dim, generators
 
-from oracles import edge_lemma_scalar, resolution_map
+from oracles import _column_power, _column_product, edge_lemma_scalar, \
+    resolution_map
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 # every shape with c <= 3 and dim <= 8
@@ -50,8 +51,8 @@ def qcis(draw):
 def test_property_matches_bar_oracle(A, k):
     B = nakayama_module(A, k)
     top = 3 if A.dim <= 6 else 2
-    homology = ResolutionWindow(B, top, "homology")
-    cohomology = ResolutionWindow(B, top, "cohomology")
+    homology = ResolutionWindow(A, k, top, "homology")
+    cohomology = ResolutionWindow(A, k, top, "cohomology")
     bar_homology = BarWindow(B, top, "homology")
     bar_cohomology = BarWindow(B, top, "cohomology")
     assert [homology.dimension(n) for n in range(top + 1)] == \
@@ -66,12 +67,33 @@ def test_property_literal_splice_maps_match_resolution(A, j):
     """The spliced window's maps next to degree 0 are near_zero's literal
     blocks; they equal the resolution's own degree-1 maps."""
     window = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, ResolutionWindow)
-    homology = ResolutionWindow.differentials(nakayama_module(A, j),
-                                              "homology")
-    cohomology = ResolutionWindow.differentials(nakayama_module(A, j + 1),
-                                                "cohomology")
+    homology = ResolutionWindow.differentials(A, j, "homology")
+    cohomology = ResolutionWindow.differentials(A, j + 1, "cohomology")
     assert window.maps[1] == homology(1)
     assert window.maps[-1] == cohomology(0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(qcis())
+def test_property_sandwiches_match_bimodule_actions(A):
+    """The sandwich table read from A's characters is, for every twist
+    nu^j, the matrix of b -> x_w^k b x_w^l from the action matrices of the
+    bimodule nakayama_module(A, j)."""
+    field = A.field
+    for j in range(-3, 4):
+        B = nakayama_module(A, j)
+        den, table = twisted_resolution.sandwiches(A, j)
+        assert set(table) == {
+            (w, k, l) for w, a in enumerate(A.exponents)
+            for k in range(a) for l in range(a) if k + l in (1, a - 1)}
+        for (w, k, l), entries in table.items():
+            expected = _column_product(
+                field, _column_power(field, B.left[w], k),
+                _column_power(field, B.right[w], l))
+            assert {(row, col): A.scalar(v, den)
+                    for row, col, v in entries} == \
+                {(row, col): v for col, column in enumerate(expected)
+                 for row, v in column.items()}, (j, w, k, l)
 
 
 @pytest.mark.parametrize("variant", ["homology", "cohomology"])
@@ -82,12 +104,12 @@ def test_entry_across_multidegrees_fails_window_construction(monkeypatch,
     construction catches it."""
     original = twisted_resolution._block
 
-    def slipped(B, *args):
-        den, entries = original(B, *args)
+    def slipped(A, *args):
+        den, entries = original(A, *args)
         (row, col, v), rest = entries[0], entries[1:]
         taken = {r for r, c, _ in rest if c == col}
-        target = next(r for r in range(row + 1, row + B.dim)
-                      if r % B.dim not in taken) % B.dim
+        target = next(r for r in range(row + 1, row + A.dim)
+                      if r % A.dim not in taken) % A.dim
         return den, [(target, col, v)] + rest
 
     monkeypatch.setattr(twisted_resolution, "_block", slipped)
@@ -122,11 +144,11 @@ def test_doubled_summand_block_fails_window_construction(monkeypatch, field,
     original = twisted_resolution._block
     doubled_once = []
 
-    def doubled(B, *args):
-        den, entries = original(B, *args)
+    def doubled(A, *args):
+        den, entries = original(A, *args)
         if not doubled_once:
             doubled_once.append(args)
-            entries = [(row, col, B.field.mul(2, v))
+            entries = [(row, col, A.field.mul(2, v))
                        for row, col, v in entries]
         return den, entries
 
@@ -161,7 +183,7 @@ def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
     x^(m + delta e_w) e_(i - e_w) (homology) or from x^m e_(i - e_w) to
     x^(m + delta e_w) e_i (cohomology), delta = 1 for odd i_w and a_w - 1
     for even i_w."""
-    assembly = ResolutionWindow.differentials(nakayama_module(A, j), variant)
+    assembly = ResolutionWindow.differentials(A, j, variant)
     sign = 1 if variant == "homology" else -1
     for n in range(1, 6):
         for i in generators(A.c, n):
@@ -187,12 +209,12 @@ def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
 
 
 def patch_block(monkeypatch, change):
-    """Route every summand block through ``change(B, i, w, entries)``."""
+    """Route every summand block through ``change(A, i, w, entries)``."""
     original = twisted_resolution._block
 
-    def patched(B, sandwiches, power, i, w, variant):
-        den, entries = original(B, sandwiches, power, i, w, variant)
-        return den, change(B, i, w, entries)
+    def patched(A, sandwiches, i, w, variant):
+        den, entries = original(A, sandwiches, i, w, variant)
+        return den, change(A, i, w, entries)
 
     monkeypatch.setattr(twisted_resolution, "_block", patched)
 
@@ -205,10 +227,10 @@ def test_doubled_block_fails_census(monkeypatch, field, q, variant):
     census of tate_dims stops with the window's wording."""
     doubled = []
 
-    def double_first(B, i, w, entries):
+    def double_first(A, i, w, entries):
         if entries and not doubled:
             doubled.append((i, w))
-            return [(row, col, B.field.mul(2, v)) for row, col, v in entries]
+            return [(row, col, A.field.mul(2, v)) for row, col, v in entries]
         return entries
 
     patch_block(monkeypatch, double_first)
@@ -219,13 +241,13 @@ def test_doubled_block_fails_census(monkeypatch, field, q, variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_entry_across_multidegrees_fails_census(monkeypatch, variant):
-    def move_first(B, i, w, entries):
+    def move_first(A, i, w, entries):
         if not entries:
             return entries
         (row, col, v), rest = entries[0], entries[1:]
         taken = {r for r, c, _ in rest if c == col}
-        target = next(r for r in range(row + 1, row + B.dim)
-                      if r % B.dim not in taken) % B.dim
+        target = next(r for r in range(row + 1, row + A.dim)
+                      if r % A.dim not in taken) % A.dim
         return [(target, col, v)] + rest
 
     patch_block(monkeypatch, move_first)
@@ -240,7 +262,7 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     cohomology degree 1; but it leaves one label with a zero and a nonzero
     edge in direction 0, where counting vertices would read 3.  The census
     refuses it."""
-    def drop_one(B, i, w, entries):
+    def drop_one(A, i, w, entries):
         return entries[1:] if (i, w) == ((1, 0), 0) else entries
 
     patch_block(monkeypatch, drop_one)
@@ -298,7 +320,7 @@ def test_inverse_nakayama_matches_delta_complex(a, b):
     for q in (Fraction(2), Fraction(-3, 5), Fraction(9, 7), Fraction(3)):
         A = codim2_algebra(QQ, a, b, q)
         delta = DeltaComplex(A, 21)
-        res = ResolutionWindow(nakayama_module(A, -1), 20)
+        res = ResolutionWindow(A, -1, 20)
         degrees = range(1, 21)
         assert [res.dimension(n) for n in degrees] == \
             [delta.homology_dim(n) for n in degrees], (a, b, q)
@@ -337,18 +359,26 @@ def enveloping_bimodule(A):
     exterior_algebra(QQ, 2),
 ], ids=["trunc-gf2-c3", "codim2-qq-q2", "codim2-gf5-q2", "exterior-qq"])
 def test_augmented_resolution_is_exact(A):
-    """P_4 -> ... -> P_0 -> A -> 0 is exact as k-vector spaces."""
-    field = A.field
-    window = ResolutionWindow(enveloping_bimodule(A), 4)
-    assert [window.dimension(n) for n in range(1, 5)] == [0] * 4
+    """P_4 -> ... -> P_0 -> A -> 0 is exact as k-vector spaces.  The maps
+    are the reference formula's (oracles.resolution_map), which takes any
+    bimodule; the package's resolution route takes Nakayama twists only."""
+    field, B = A.field, enveloping_bimodule(A)
+    spaces = {n: chain_space_dim(A.c, B.dim, n) for n in range(6)}
+    spaces[-1] = 0
+    maps = {n: SparseMatrix.from_dict(field, spaces[n - 1], spaces[n],
+                                      resolution_map(B, n, "homology"))
+            for n in range(1, 6)}
+    maps[0] = SparseMatrix(field, 0, spaces[0])
+    window = ChainComplexWindow(range(5, -2, -1), spaces, maps)
+    assert [window.homology_dim(n) for n in range(1, 5)] == [0] * 4
     # multiplication P_0 = A (x) A -> A is onto and kills the image of d_1,
     # and coker d_1 has dimension dim A, so that image is its kernel
-    assert window.dimension(0) == A.dim
+    assert window.homology_dim(0) == A.dim
     table = A.structure_constants()
-    for col in range(window.window.spaces[1]):
+    for col in range(spaces[1]):
         image = {}
-        for row in range(window.window.spaces[0]):
-            v = window.window.maps[1].entry(row, col)
+        for row in range(spaces[0]):
+            v = maps[1].entry(row, col)
             hit = table.get((row % A.dim, row // A.dim))
             if v != field.zero and hit is not None:
                 coeff, k = hit
@@ -378,11 +408,64 @@ def test_auto_routes_generic_c3_without_bar(monkeypatch):
     assert cohomology.dims() == [0, 0, 0, 1, 3, 3, 1]
 
 
+@pytest.mark.parametrize("A", [
+    codim2_algebra(QQ, 2, 3, Fraction(2)),
+    codim2_algebra(PrimeField(5), 3, 2, 2),
+    C3_SPEC,
+    QciAlgebra(PrimeField(5), (2, 2, 3), [[1, 2, 3], [3, 1, 4], [2, 4, 1]]),
+], ids=["c2-QQ", "c2-GF5", "c3-QQ", "c3-GF5"])
+def test_auto_route_builds_no_bimodule(monkeypatch, A):
+    """Under auto the census halves and the splice window read A's
+    characters; no Bimodule is constructed."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("Bimodule built under auto")
+
+    monkeypatch.setattr(Bimodule, "__init__", forbidden)
+    for variant in VARIANTS:
+        for k in (-1, 0, 1):
+            table = tate_dims(TateRequest(A, -4, 4, variant,
+                                          nakayama_power=k))
+            assert table.complete()
+            assert {e.method for e in table.entries} == {"resolution"}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_doubled_character_fails_relation_check(field, variant):
+    """Doubling one left character of x_0 breaks the relation of the two
+    sides at that monomial, and the census refuses the algebra before it
+    counts anything."""
+    A = QciAlgebra(field, (2, 2, 3), C3_SPEC.q) if field is QQ else \
+        QciAlgebra(field, (2, 2, 3), [[1, 2, 3], [3, 1, 4], [2, 4, 1]])
+    row = A.generator_characters()[0]
+    idx, target, a, b, d = row[0]
+    row[0] = (idx, target, field.mul(2, a) if field.characteristic else 2 * a,
+              b, d)
+    with pytest.raises(ValueError, match="left and right actions commute "
+                                         "fails for generators 0, 1 at "
+                                         r"monomial \(0, 0, 0\)"):
+        tate_dims(TateRequest(A, 2, 3, variant))
+
+
+def test_characters_of_another_q_fail_relation_check():
+    """Characters of an algebra with another q_01 agree among themselves,
+    so the two sides commute, but they do not q-commute with A's q_01."""
+    A = QciAlgebra(QQ, (2, 2, 3), C3_SPEC.q)
+    q = [list(row) for row in C3_SPEC.q]
+    q[0][1], q[1][0] = Fraction(3), Fraction(1, 3)
+    A.generator_characters()[:] = \
+        QciAlgebra(QQ, (2, 2, 3), q).generator_characters()
+    with pytest.raises(ValueError, match="left actions q-commute fails for "
+                                         r"generators 0, 1 at monomial "
+                                         r"\(0, 0, 0\)"):
+        tate_dims(TateRequest(A, -3, 3))
+
+
 def test_budget_caps_largest_resolution_space(tmp_path):
     A = exterior_algebra(QQ, 3)
-    B = nakayama_module(A, 1)  # nu twist, so no closed form applies
+    # nu twist, so no closed form applies
     with pytest.raises(BudgetExceeded, match="degree 3 needs 120 basis"):
-        ResolutionWindow(B, 3, budget=119)
+        ResolutionWindow(A, 1, 3, budget=119)
     table = tate_dims(TateRequest(A, 1, 4, nakayama_power=1, budget=119))
     assert [d is None for d in table.dims()] == [False, False, True, True]
     assert table.entry(3).source == \
