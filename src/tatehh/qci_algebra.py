@@ -228,8 +228,9 @@ class QciAlgebra:
         """Once per algebra, check generator_characters() in integers (mod
         p over GF(p)) at every monomial m where both sides are defined: for
         u < v, x_u x_v m = q_uv x_v x_u m and m x_u x_v = q_uv m x_v x_u; for
-        all u, v, x_u (m x_v) = (x_u m) x_v.  A failure raises ValueError
-        naming the relation, the generators and the monomial."""
+        all u, v, x_u (m x_v) = (x_u m) x_v; nilpotency holds by the index
+        ranges.  A failure raises ValueError naming the relation, the
+        generators and the monomial."""
         if self._checked:
             return
         p = self.field.characteristic
