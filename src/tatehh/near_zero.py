@@ -12,27 +12,26 @@ line, and the map f sends the w-th free generator to right multiplication by
 facts this hinges on: f followed by s is zero, and the dim A shifted copies
 (x^j (x) 1) s are linearly independent.
 
-Tensoring the segment with a one-sided diagonal twist of the algebra gives
-the maps next to degree 0 of the spliced Tate complex (tate_engine's
-TateWindow): d_0 is its norm map C_0 -> C_{-1}, and the c blocks of d_1 give
-the resolution's C_1 -> C_0 (negated) and, stacked, C_{-1} -> C_{-2}.  The
-two maps are built twice, by independent routes:
+Tensored with the Nakayama twist nu^j, the segment gives the maps next to
+degree 0 of the spliced complex C(j) (tate_engine.TateWindow): the norm map
+d_0 : C_0 -> C_{-1}, and d_1, whose c blocks give C_1 -> C_0 (negated) and,
+for nu^(j+1) and stacked, C_{-1} -> C_{-2}.  Literally, d_1 sends x^u in
+block w to (alpha_w L_w(u) - R_w(u)) x^(u + e_w), with the characters
+L_w(u) = prod_{i>=w} q_wi^{u_i} and R_w(u) = prod_{j<=w} q_jw^{u_j}
+(QciAlgebra.generator_characters), and d_0 sends 1 to x^top times the norm
+scalar prod_w (1 + alpha_w + ... + alpha_w^{a_w - 1}) and kills every other
+monomial; the tests require these to equal, entrywise, the structural right
+actions of 1 (x) x_w - x_w (x) 1 and of s.
 
-  * literally, from the published coefficient formulas (d_1 has the single
-    output coefficient alpha_w L_w(u) - R_w(u), with the characters
-    L_w(u) = prod_{i>=w} q_wi^{u_i} and R_w(u) = prod_{j<=w} q_jw^{u_j};
-    d_0 kills every monomial except 1, which it sends to the socle monomial
-    scaled by prod_w (1 + alpha_w + ... + alpha_w^{a_w - 1}));
-  * structurally, as the induced right action of 1 (x) x_w - x_w (x) 1 and of
-    s on the twisted bimodule.
-
-The literal maps are integer arithmetic: the algebra computes the
-characters once from its q-power table (QciAlgebra.generator_characters),
-so every twist reuses them, and each nonzero entry becomes one Fraction
-(one residue over GF(p)).  The windows read the literal pair, and the
-tests require the two routes to agree entrywise.  The three-term window
-(zeromaps_window, tate_hh0) is a check: the verify ci, exterior and
-duality suites and the tests read it.
+All three maps are weighted shifts, so splice_dims counts H_0 and H_{-1} of
+C(j) with no matrix.  A column of d_1 has at most one entry and a row of
+C_{-1} -> C_{-2} exactly one, so their ranks are the numbers of rows hit
+and of monomials moved by a nonzero entry; rank d_0 is 1 or 0 as the norm
+scalar is nonzero or not.  splice_dims also makes the composition-zero
+check of a window across the splice, which fails exactly when the norm
+scalar is nonzero and a nonzero d_1 entry lands on x^0, or x^top has a
+nonzero coboundary.  The three-term window (zeromaps_window, tate_hh0) is a
+check that the verify ci, exterior and duality suites and the tests read.
 """
 
 from .exact_field import scalar_pow
@@ -131,13 +130,12 @@ def check_exactness_claim(A):
 # ---------------------------------------------------------------------------
 
 
-def d1_terms(A, psi, sign=1):
-    """sign * d1 as (w, idx, target, v): x^idx in block w goes to v x^target,
-    v = sign (psi_w L - R)(x^idx), L and R from A.generator_characters."""
+def d1_terms(A, psi):
+    """d1 in integers (w, idx, target, num, den): x^idx in block w goes to
+    (num / den) x^target; num is a residue product over GF(p)."""
     A.validate_twist(psi)
-    return ((w, idx, target,
-             A.scalar(sign * (alpha.numerator * a - alpha.denominator * b),
-                      alpha.denominator * d))
+    return ((w, idx, target, alpha.numerator * a - alpha.denominator * b,
+             alpha.denominator * d)
             for w, (alpha, characters) in enumerate(
                 zip(psi, A.generator_characters()))
             for idx, target, a, b, d in characters)
@@ -147,21 +145,44 @@ def d1_matrix(A, psi, sign=1):
     """Literal first map times sign: domain has c blocks of monomials, block
     w for the w-th free generator; single output per basis vector."""
     return SparseMatrix(A.field, A.dim, A.dim * A.c, (
-        (target, idx + A.dim * w, v)
-        for w, idx, target, v in d1_terms(A, psi, sign)))
+        (target, idx + A.dim * w, A.scalar(sign * num, den))
+        for w, idx, target, num, den in d1_terms(A, psi)))
 
 
-def d0_matrix(A, psi):
-    """Literal zeroth map: kills every monomial except 1, which goes to the
-    socle monomial scaled by the product of twist geometric sums."""
+def norm_scalar(A, psi):
+    """Integers (num, den) with d0(1) = (num / den) x^top: the product of
+    the twist geometric sums 1 + alpha_w + ... + alpha_w^(a_w - 1)."""
     A.validate_twist(psi)
     num = den = 1
     for alpha, a in zip(psi, A.exponents):
         n, d = alpha.numerator, alpha.denominator
         num *= sum(n ** t * d ** (a - 1 - t) for t in range(a))
         den *= d ** (a - 1)
+    return num, den
+
+
+def d0_matrix(A, psi):
+    """Literal zeroth map: 1 goes to norm_scalar x^top, the rest to 0."""
     return SparseMatrix(A.field, A.dim, A.dim,
-                        [(A.top_index, 0, A.scalar(num, den))])
+                        [(A.top_index, 0, A.scalar(*norm_scalar(A, psi)))])
+
+
+def splice_dims(A, j):
+    """{0: H_0, -1: H_-1} of C(j), counted (module docstring); ValueError
+    where the maps next to the splice do not compose to zero."""
+    p = A.field.characteristic
+    norm = norm_scalar(A, A.nakayama(j))[0]
+    rank0 = 1 if (norm % p if p else norm) else 0
+    # the rows that d1 of nu^j hits, the monomials that d1 of nu^(j+1) moves
+    hit = {target for _, _, target, num, _ in d1_terms(A, A.nakayama(j))
+           if (num % p if p else num)}
+    moved = {idx for _, idx, _, num, _ in d1_terms(A, A.nakayama(j + 1))
+             if (num % p if p else num)}
+    if rank0 and 0 in hit:
+        raise ValueError("maps at degrees 1 and 0 do not compose to zero")
+    if rank0 and A.top_index in moved:
+        raise ValueError("maps at degrees 0 and -1 do not compose to zero")
+    return {0: A.dim - len(hit) - rank0, -1: A.dim - len(moved) - rank0}
 
 
 def _twisted_right_env_action(A, psi, element):
@@ -216,11 +237,9 @@ def d1_matrix_via_f(A, psi):
 def zeromaps_window(A, psi):
     """Three-term window (A^c, A, A) with the literal maps; middle homology
     is the degree-0 stable dimension for the psi-left-twisted coefficients."""
-    d1 = d1_matrix(A, psi)
-    d0 = d0_matrix(A, psi)
     return ChainComplexWindow([1, 0, -1],
                               {1: A.dim * A.c, 0: A.dim, -1: A.dim},
-                              {1: d1, 0: d0})
+                              {1: d1_matrix(A, psi), 0: d0_matrix(A, psi)})
 
 
 def tate_hh0(A, psi):

@@ -12,34 +12,31 @@ bimodule resolution P spliced at degree 0 to its A^e-dual is one (Buchweitz
 
 joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix(A, nu^j).  Tate
 homology of nu^k in degree n is H_n(C(k)); Tate cohomology of nu^k in degree
-n is H_{-n-1}(C(k-1)); this holds for every integer n.  A method
-policy routes every degree to one terminal, named in the table's method
-column:
+n is H_{-n-1}(C(k-1)); this holds for every integer n.  A method policy
+routes every degree, within the element budget, to one terminal, named in
+the table's method column:
 
-  auto      resolution: the twisted-tensor resolution (twisted_resolution),
-            within the element budget; chain degrees >= 1 and <= -2 by the
-            label census of each half (Census(A, j, ...), no matrix), the
-            splice degrees 0 and -1 from a TateWindow on [-1, 0]; neither
-            builds a bimodule;
-  bar_only  oracle: the spliced complex of the bar resolution
-            (hochschild_bar), within the element budget, so that it stays
-            an independent check (cross_validate).
+  auto      resolution: the twisted-tensor resolution (twisted_resolution)
+            with no bimodule and no matrix: chain degrees >= 1 and <= -2 by
+            the label census of each half (Census), the splice degrees 0
+            and -1 counted from its weighted shifts (near_zero.splice_dims);
+  bar_only  oracle: one spliced window (TateWindow) of the bar resolution
+            (hochschild_bar), an independent check (cross_validate).
 
-A request builds at most one window and one census per resolution half.
-TateWindow over the whole requested range stays the reference that
-cross_validate's dumps and the tests read.  The published closed forms
-(closed_forms) route nothing: the verify suites and the tests compare the
-table with them.  The duality theorems are checked, not used: the verify
-duality suite compares degree-0 cohomology with the linear dual recognised
-as a Nakayama twist (recognize_nakayama_power, below).  The paper's
-two-generator complex (codim2_complex.DeltaComplex) checks the
-resolution's nu^-1 homology in the verify codim2 suite and the tests.
-Degrees beyond the budget are marked unavailable with the reason instead
-of being guessed.
+TateWindow over the whole requested range, on either resolution, stays the
+reference that cross_validate's dumps, the verify duality suite and the
+tests read.  The published closed forms (closed_forms) route nothing: the
+verify suites and the tests compare the table with them.  The duality
+theorems are checked, not used: the verify duality suite compares degree-0
+cohomology with the linear dual recognised as a Nakayama twist
+(recognize_nakayama_power, below).  The paper's two-generator complex
+(codim2_complex.DeltaComplex) checks the resolution's nu^-1 homology in the
+verify codim2 suite and the tests.  Degrees beyond the budget are marked
+unavailable with the reason instead of being guessed.
 """
 
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
-from .near_zero import d0_matrix, d1_matrix, d1_terms
+from .near_zero import d0_matrix, splice_dims
 from .qci_algebra import mat_apply, twisted_bimodule
 from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
@@ -198,17 +195,15 @@ def recognize_nakayama_power(A, M, expected_first=0, span=3):
 
 
 class TateWindow(ChainComplexWindow):
-    """The spliced complex C(j) on the degrees lo - 1 .. hi + 1: the
-    resolution route's splice degrees, the bar route's every degree, and
-    the reference for the label census.
+    """The spliced complex C(j) on the degrees lo - 1 .. hi + 1: the bar
+    route's every degree, and the reference for the resolution route.
 
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
-    the differentials of B_j (x) P and of Hom(P, B_{j+1}).  The resolution
-    builds no bimodule: next to the splice it lays near_zero's literal d1
-    out once per map, elsewhere it reads A's characters (Census); the bar
-    complex builds B_j with nakayama_module.
-    ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
-    Composition-zero is checked at construction, across the splice too.
+    the differentials of B_j (x) P and of Hom(P, B_{j+1}), read from A's
+    characters (_Assembly) or from B_j built by nakayama_module; the norm
+    map is near_zero's literal d0.  ``maps[n]`` is the differential
+    C_n -> C_{n-1} itself, ranked whole.  Composition-zero is checked at
+    construction, across the splice too.
     """
 
     def __init__(self, A, j, lo, hi, budget, kind):
@@ -216,8 +211,7 @@ class TateWindow(ChainComplexWindow):
             needed = self.need(kind, A, n)
             if needed > budget:
                 raise BudgetExceeded(n, needed, budget)
-        self.A, self.j, self.kind = A, j, kind
-        self._halves = {}
+        self.A, self.j, self.kind, self._halves = A, j, kind, {}
         degrees = range(hi + 1, lo - 2, -1)
         spaces = {n: kind.space_dim(A, A.dim, n if n >= 0 else -n - 1)
                   for n in degrees}
@@ -231,21 +225,11 @@ class TateWindow(ChainComplexWindow):
 
     def _map(self, n):
         """The map C_n -> C_{n-1}."""
-        A, j = self.A, self.j
         if n == 0:  # the norm map
-            return d0_matrix(A, A.nakayama(j))
-        if self.kind is ResolutionWindow and n == 1:
-            return d1_matrix(A, A.nakayama(j), -1)
-        if self.kind is ResolutionWindow and n == -1:
-            # column block w of d1 becomes row block w
-            return SparseMatrix(A.field, A.dim * A.c, A.dim, (
-                (target + A.dim * w, idx, v)
-                for w, idx, target, v in d1_terms(A, A.nakayama(j + 1))))
+            return d0_matrix(self.A, self.A.nakayama(self.j))
         if n >= 1:
-            half, degree = self._half(j, "homology"), n
-        else:
-            half, degree = self._half(j + 1, "cohomology"), -n - 1
-        return half(degree)
+            return self._half(self.j, "homology")(n)
+        return self._half(self.j + 1, "cohomology")(-n - 1)
 
     def _half(self, j, variant):
         if variant not in self._halves:
@@ -291,24 +275,21 @@ class _Session:
                     BudgetExceeded(n, needed, req.budget))))
         if served:
             chain = [self.chain_degree(n) for n in served]
-            dims = self._census(chain) if terminal == "resolution" else \
-                self._window(chain, _WINDOWS[terminal])
+            if terminal == "resolution":
+                dims = self._census(chain)
+            else:
+                window = TateWindow(req.algebra, self.twist(), min(chain),
+                                    max(chain), req.budget, _WINDOWS[terminal])
+                dims = {t: window.homology_dim(t) for t in chain}
             entries.extend(TableEntry(n, dims[t], terminal)
                            for n, t in zip(served, chain))
         return DimensionTable(req, entries)
 
-    def _window(self, chain, window_kind):
-        """H_t for each chain degree t from one spliced window."""
-        window = TateWindow(self.req.algebra, self.twist(), min(chain),
-                            max(chain), self.req.budget, window_kind)
-        return {t: window.homology_dim(t) for t in chain}
-
     def _census(self, chain):
-        """H_t by label census outside the splice, and from a spliced
-        resolution window on [-1, 0] inside it, with no bimodule."""
+        """H_t by label census outside the splice and counted inside it
+        (near_zero.splice_dims): no bimodule and no matrix."""
         A, j = self.req.algebra, self.twist()
-        splice = [t for t in chain if -1 <= t <= 0]
-        dims = self._window(splice, ResolutionWindow) if splice else {}
+        dims = splice_dims(A, j) if {0, -1} & set(chain) else {}
         for twist, variant, degrees in (
                 (j, "homology", [t for t in chain if t >= 1]),
                 (j + 1, "cohomology", [-t - 1 for t in chain if t <= -2])):

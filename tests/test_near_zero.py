@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tatehh import near_zero, tate_engine
+from tatehh.cli_reports import _duality_family
 from tatehh.closed_forms import ci_dim, exterior_dim, lower_bound
 from tatehh.exact_field import QQ, PrimeField, scalar_pow
+from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import (
     build_s,
     check_exactness_claim,
@@ -19,6 +22,7 @@ from tatehh.near_zero import (
     env_index,
     env_multiply,
     generator_difference,
+    splice_dims,
     tate_hh0,
     zeromaps_window,
 )
@@ -28,6 +32,10 @@ from tatehh.qci_algebra import (
     exterior_algebra,
     truncated_polynomial_algebra,
 )
+from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
+from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
+    tate_dims
+from tatehh.twisted_resolution import ResolutionWindow
 
 from oracles import multiply, oracle_multiply
 
@@ -230,9 +238,9 @@ def units(field):
 
 
 @st.composite
-def generated_qcis(draw):
+def generated_qcis(draw, shapes=GENERATED_SHAPES):
     field = draw(st.sampled_from(GENERATED_FIELDS))
-    exponents = draw(st.sampled_from(GENERATED_SHAPES))
+    exponents = draw(st.sampled_from(shapes))
     c = len(exponents)
     q = [[field.one] * c for _ in range(c)]
     for i in range(c):
@@ -282,3 +290,79 @@ def test_property_q_power_table_matches_field_powers(A, data):
                                   A.monomial_exps(0))]:
         assert A.multiply_monomials(exps1, exps2) == \
             oracle_multiply(A, exps1, exps2)
+
+
+def structural_splice_window(A, j):
+    """C(j) on [-1, 0] from the structural maps: d1 of nu^j, the action of
+    s, and d1 of nu^(j+1) with column block w made row block w."""
+    dim = A.dim
+    stacked = SparseMatrix(A.field, dim * A.c, dim, (
+        (row + dim * (col // dim), col % dim, v)
+        for row, col, v in d1_matrix_via_f(A, A.nakayama(j + 1)).entries()))
+    return ChainComplexWindow(
+        [1, 0, -1, -2], {1: dim * A.c, 0: dim, -1: dim, -2: dim * A.c},
+        {1: d1_matrix_via_f(A, A.nakayama(j)),
+         0: d0_matrix_via_s(A, A.nakayama(j)), -1: stacked})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(generated_qcis([s for s in GENERATED_SHAPES if len(s) <= 4]),
+       st.integers(-2, 2))
+def test_property_splice_dims_match_windows(A, j):
+    """The counted splice degrees 0 and -1 of C(j) equal the homology of
+    the window of the structural maps and of the reference TateWindow."""
+    reference = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, ResolutionWindow)
+    for window in (structural_splice_window(A, j), reference):
+        assert {n: window.homology_dim(n) for n in (0, -1)} == \
+            splice_dims(A, j)
+
+
+@pytest.mark.parametrize("slip", ["onto x^0", "out of x^top"])
+def test_splice_entry_meeting_the_norm_fails_construction(monkeypatch,
+                                                          slip):
+    """A nonzero d1 entry moved onto x^0, or to the column of x^top, meets
+    the nonzero norm map, and the request stops with the window's
+    wording."""
+    original = near_zero.d1_terms
+
+    def slipped(A, psi):
+        terms = list(original(A, psi))
+        k = next(k for k, term in enumerate(terms) if term[3])
+        w, idx, target, num, den = terms[k]
+        terms[k] = (w, idx, 0, num, den) if slip == "onto x^0" else \
+            (w, A.top_index, target, num, den)
+        return iter(terms)
+
+    monkeypatch.setattr(near_zero, "d1_terms", slipped)
+    A = codim2_algebra(QQ, 2, 3, Fraction(2))
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        tate_dims(TateRequest(A, -1, 0))
+
+
+def test_norm_scalar_of_the_next_twist_fails_cross_validation(monkeypatch):
+    """splice_dims reading the norm scalar at nu^(j+1) in place of nu^j
+    changes degree 0 or -1 on an algebra of the verify duality family, and
+    the bar route disagrees."""
+    def disagreements():
+        return [(label, variant, k, row["degree"])
+                for label, A in _duality_family()
+                for variant in ("homology", "cohomology")
+                for k in (-1, 0, 1)
+                for row in cross_validate(
+                    TateRequest(A, -1, 0, variant, k))["degrees"]
+                if not row["agree"]]
+
+    assert disagreements() == []
+    norm, splice = near_zero.norm_scalar, near_zero.splice_dims
+
+    def next_twist_norm(A, psi):
+        return norm(A, tuple(A.field.mul(alpha, nu)
+                             for alpha, nu in zip(psi, A.nakayama(1))))
+
+    def shifted(A, j):
+        with monkeypatch.context() as patch:
+            patch.setattr(near_zero, "norm_scalar", next_twist_norm)
+            return splice(A, j)
+
+    monkeypatch.setattr(tate_engine, "splice_dims", shifted)
+    assert disagreements()

@@ -12,6 +12,7 @@ from tatehh import hochschild_bar, twisted_resolution
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
 from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
+from tatehh.near_zero import d1_matrix, d1_terms
 from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
@@ -64,13 +65,16 @@ def test_property_matches_bar_oracle(A, k):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(qcis(), st.integers(-2, 2))
 def test_property_literal_splice_maps_match_resolution(A, j):
-    """The spliced window's maps next to degree 0 are near_zero's literal
-    blocks; they equal the resolution's own degree-1 maps."""
-    window = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, ResolutionWindow)
+    """near_zero's literal d1 of nu^j, negated, is the resolution's own
+    boundary of degree 1, and the d1 terms of nu^(j+1), column block w made
+    row block w, are its coboundary of degree 0."""
     homology = ResolutionWindow.differentials(A, j, "homology")
     cohomology = ResolutionWindow.differentials(A, j + 1, "cohomology")
-    assert window.maps[1] == homology(1)
-    assert window.maps[-1] == cohomology(0)
+    assert d1_matrix(A, A.nakayama(j), -1) == homology(1)
+    assert SparseMatrix(A.field, A.dim * A.c, A.dim, (
+        (target + A.dim * w, idx, A.scalar(num, den))
+        for w, idx, target, num, den in d1_terms(A, A.nakayama(j + 1)))) == \
+        cohomology(0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -258,17 +262,17 @@ def test_entry_across_multidegrees_fails_census(monkeypatch, variant):
 
 def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     """Dropping one entry of the block at e_(1,0), direction 0, keeps
-    d o d = 0, so the reference window builds and reads dim 2 in
-    cohomology degree 1; but it leaves one label with a zero and a nonzero
-    edge in direction 0, where counting vertices would read 3.  The census
-    refuses it."""
+    d o d = 0 next to cohomology degree 1, so the reference window builds
+    and reads dim 3 there (2 unpatched); but it leaves one label with a
+    zero and a nonzero edge in direction 0, where the cube argument does
+    not hold.  The census refuses it."""
     def drop_one(A, i, w, entries):
         return entries[1:] if (i, w) == ((1, 0), 0) else entries
 
     patch_block(monkeypatch, drop_one)
     A = codim2_algebra(QQ, 2, 3, Fraction(2))
     window = TateWindow(A, -1, -2, -2, DEFAULT_BUDGET, ResolutionWindow)
-    assert window.homology_dim(-2) == 2
+    assert window.homology_dim(-2) == 3
     with pytest.raises(ValueError, match="disagree in being zero"):
         tate_dims(TateRequest(A, 1, 1, "cohomology"))
 
@@ -424,6 +428,29 @@ def test_auto_route_builds_no_bimodule(monkeypatch, A):
     for variant in VARIANTS:
         for k in (-1, 0, 1):
             table = tate_dims(TateRequest(A, -4, 4, variant,
+                                          nakayama_power=k))
+            assert table.complete()
+            assert {e.method for e in table.entries} == {"resolution"}
+
+
+@pytest.mark.parametrize("A", [
+    codim2_algebra(QQ, 2, 3, Fraction(2)),
+    C3_SPEC,
+    QciAlgebra(PrimeField(5), (2, 2, 3), [[1, 2, 3], [3, 1, 4], [2, 4, 1]]),
+    QciAlgebra(PrimeField(3), (3, 3), [[1, 1], [1, 1]]),
+    exterior_algebra(PrimeField(2), 3),
+], ids=["c2-QQ", "c3-QQ", "c3-GF5", "c2-GF3-commutative", "exterior-GF2"])
+def test_auto_route_builds_no_matrix(monkeypatch, A):
+    """Under auto no degree, the splice degrees 0 and -1 included, builds a
+    SparseMatrix or a ChainComplexWindow."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("matrix built under auto")
+
+    monkeypatch.setattr(SparseMatrix, "__init__", forbidden)
+    monkeypatch.setattr(ChainComplexWindow, "__init__", forbidden)
+    for variant in VARIANTS:
+        for k in (-1, 0, 1):
+            table = tate_dims(TateRequest(A, -3, 3, variant,
                                           nakayama_power=k))
             assert table.complete()
             assert {e.method for e in table.entries} == {"resolution"}
