@@ -30,8 +30,7 @@ from math import prod
 from random import Random
 
 from .closed_forms import ci_dim, codim2_cohomology_dim, exterior_dim
-from .codim2_complex import expected_kernel_dim, kernel_dims, \
-    twisted_homology_dims
+from .codim2_complex import DeltaComplex, expected_kernel_dim
 from .exact_field import QQ, PrimeField
 from .hochschild_bar import BarWindow, BudgetExceeded, DEFAULT_BUDGET
 from .near_zero import check_exactness_claim, tate_hh0
@@ -243,62 +242,51 @@ def _table_vs_closed_form(label, table, closed):
         table.dims(), [closed(n if n >= 0 else -n - 1) for n in req.degrees])
 
 
-def _suite_ci(max_degree, budget):
+def _closed_form_suite(family, max_degree, budget, palindrome=False):
+    """One unit per (name, algebra, closed) of family: degree 0 from the
+    structural window (tate_hh0) and degrees 1..max_degree from the bar
+    oracle against the published count closed(n), then the homology table
+    against it; with palindrome, also H_n = H_{-n-1} on the table."""
     checks = []
-    for field, label in ((QQ, "QQ"), (PrimeField(2), "GF(2)")):
-        A = truncated_polynomial_algebra(field, (2, 2))
-        p = field.characteristic
+    for name, A, closed in family:
 
-        def unit(A=A, p=p, label=label):
-            rows = [_check(f"ci {label} degree 0 zeromaps vs formula",
-                           tate_hh0(A, A.identity_twist()),
-                           ci_dim(2, 2, p, 0))]
+        def unit(name=name, A=A, closed=closed):
+            rows = [_check(f"{name} degree 0 zeromaps vs formula",
+                           tate_hh0(A, A.identity_twist()), closed(0))]
             dims = BarWindow(nakayama_module(A, 0), max_degree, "homology",
                              budget).dimensions()
-            rows.extend(
-                _check(f"ci {label} degree {n} oracle vs formula",
-                       dims[n], ci_dim(2, 2, p, n))
-                for n in range(1, max_degree + 1))
-            rows.append(_table_vs_closed_form(
-                f"ci {label}", _homology_table(A, max_degree, budget),
-                lambda m: ci_dim(2, 2, p, m)))
-            return rows
-
-        _guarded(checks, f"ci {label}", unit)
-    return checks
-
-
-def _suite_exterior(max_degree, budget):
-    checks = []
-    fields = ((PrimeField(2), "GF(2)"), (PrimeField(3), "GF(3)"), (QQ, "QQ"))
-    for c in (1, 2, 3):
-        for field, label in fields:
-            A = exterior_algebra(field, c)
-            p = field.characteristic
-
-            def unit(A=A, p=p, c=c, label=label):
-                rows = [_check(
-                    f"exterior c={c} {label} degree 0 zeromaps vs formula",
-                    tate_hh0(A, A.identity_twist()), exterior_dim(c, p, 0))]
-                dims = BarWindow(nakayama_module(A, 0), max_degree,
-                                 "homology", budget).dimensions()
-                rows.extend(_check(
-                    f"exterior c={c} {label} degree {n} oracle vs formula",
-                    dims[n], exterior_dim(c, p, n))
-                    for n in range(1, max_degree + 1))
-                table = _homology_table(A, max_degree, budget)
-                rows.append(_table_vs_closed_form(
-                    f"exterior c={c} {label}", table,
-                    lambda m: exterior_dim(c, p, m)))
+            rows.extend(_check(f"{name} degree {n} oracle vs formula",
+                               dims[n], closed(n))
+                        for n in range(1, max_degree + 1))
+            table = _homology_table(A, max_degree, budget)
+            rows.append(_table_vs_closed_form(name, table, closed))
+            if palindrome:
                 rows.append(_check(
-                    f"exterior c={c} {label} homology palindrome on "
+                    f"{name} homology palindrome on "
                     f"[{-max_degree - 1}, {max_degree}]",
                     [table.dimension(n) for n in range(max_degree + 1)],
                     [table.dimension(-n - 1) for n in range(max_degree + 1)]))
-                return rows
+            return rows
 
-            _guarded(checks, f"exterior c={c} {label}", unit)
+        _guarded(checks, name, unit)
     return checks
+
+
+def _suite_ci(max_degree, budget):
+    return _closed_form_suite(
+        [(f"ci {label}", truncated_polynomial_algebra(field, (2, 2)),
+          functools.partial(ci_dim, 2, 2, field.characteristic))
+         for field, label in ((QQ, "QQ"), (PrimeField(2), "GF(2)"))],
+        max_degree, budget)
+
+
+def _suite_exterior(max_degree, budget):
+    fields = ((PrimeField(2), "GF(2)"), (PrimeField(3), "GF(3)"), (QQ, "QQ"))
+    return _closed_form_suite(
+        [(f"exterior c={c} {label}", exterior_algebra(field, c),
+          functools.partial(exterior_dim, c, field.characteristic))
+         for c in (1, 2, 3) for field, label in fields],
+        max_degree, budget, palindrome=True)
 
 
 def _suite_codim2(max_degree, budget):
@@ -337,7 +325,9 @@ def _suite_codim2(max_degree, budget):
                 f"codim2 ({a},{b}) homology degrees 1..{min(max_degree, 3)} "
                 "oracle vs formula",
                 bar[1:], [a + b - 2] * min(max_degree, 3)))
-            delta = twisted_homology_dims(A, max_degree + 1)
+            complex_ = DeltaComplex(A, max_degree + 1)
+            delta = [complex_.homology_dim(n)
+                     for n in range(1, max_degree + 1)]
             rows.append(_check(
                 f"codim2 ({a},{b}) twisted homology vanishes to {max_degree}",
                 delta, [0] * max_degree))
@@ -355,7 +345,7 @@ def _suite_codim2(max_degree, budget):
                 nu.dims()[:max_degree], delta))
             rows.append(_check(
                 f"codim2 ({a},{b}) kernel dimensions to {max_degree + 1}",
-                kernel_dims(A, max_degree + 1),
+                [complex_.kernel_dim(n) for n in range(1, max_degree + 2)],
                 [expected_kernel_dim(A, n) for n in range(1, max_degree + 2)]))
             return rows
 
@@ -401,7 +391,8 @@ def _suite_duality(max_degree, budget):
                                budget).dimensions()
                 # degree-0 cohomology of nu^k is H_{-1}(C(k - 1)); the
                 # reference recognises the dual of nu^k as some nu^j and
-                # reads degree-0 homology of nu^j from the zeromaps window
+                # reads degree-0 homology of nu^j from the structural
+                # window (tate_hh0)
                 spliced = TateWindow(A, k - 1, -1, -1, budget,
                                      ResolutionWindow).homology_dim(-1)
                 j = recognize_nakayama_power(A, dual_bimodule(B), 1 - k)

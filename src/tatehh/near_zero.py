@@ -20,8 +20,9 @@ block w to (alpha_w L_w(u) - R_w(u)) x^(u + e_w), with the characters
 L_w(u) = prod_{i>=w} q_wi^{u_i} and R_w(u) = prod_{j<=w} q_jw^{u_j}
 (QciAlgebra.generator_characters), and d_0 sends 1 to x^top times the norm
 scalar prod_w (1 + alpha_w + ... + alpha_w^{a_w - 1}) and kills every other
-monomial; the tests require these to equal, entrywise, the structural right
-actions of 1 (x) x_w - x_w (x) 1 and of s.
+monomial.  These literal maps exist only as integer counts (d1_terms,
+norm_scalar); their one matrix form is structural (d1_matrix_via_f,
+d0_matrix_via_s), and the tests require the two to agree entry by entry.
 
 All three maps are weighted shifts, so splice_dims counts H_0 and H_{-1} of
 C(j) with no matrix.  A column of d_1 has at most one entry and a row of
@@ -30,8 +31,9 @@ and of monomials moved by a nonzero entry; rank d_0 is 1 or 0 as the norm
 scalar is nonzero or not.  splice_dims also makes the composition-zero
 check of a window across the splice, which fails exactly when the norm
 scalar is nonzero and a nonzero d_1 entry lands on x^0, or x^top has a
-nonzero coboundary.  The three-term window (zeromaps_window, tate_hh0) is a
-check that the verify ci, exterior and duality suites and the tests read.
+nonzero coboundary.  The references read the structural maps instead
+(TateWindow's norm map, and tate_hh0, the degree-0 window of the verify
+suites), so none shares splice code with splice_dims.
 """
 
 from .exact_field import scalar_pow
@@ -141,14 +143,6 @@ def d1_terms(A, psi):
             for idx, target, a, b, d in characters)
 
 
-def d1_matrix(A, psi, sign=1):
-    """Literal first map times sign: domain has c blocks of monomials, block
-    w for the w-th free generator; single output per basis vector."""
-    return SparseMatrix(A.field, A.dim, A.dim * A.c, (
-        (target, idx + A.dim * w, A.scalar(sign * num, den))
-        for w, idx, target, num, den in d1_terms(A, psi)))
-
-
 def norm_scalar(A, psi):
     """Integers (num, den) with d0(1) = (num / den) x^top: the product of
     the twist geometric sums 1 + alpha_w + ... + alpha_w^(a_w - 1)."""
@@ -159,12 +153,6 @@ def norm_scalar(A, psi):
         num *= sum(n ** t * d ** (a - 1 - t) for t in range(a))
         den *= d ** (a - 1)
     return num, den
-
-
-def d0_matrix(A, psi):
-    """Literal zeroth map: 1 goes to norm_scalar x^top, the rest to 0."""
-    return SparseMatrix(A.field, A.dim, A.dim,
-                        [(A.top_index, 0, A.scalar(*norm_scalar(A, psi)))])
 
 
 def splice_dims(A, j):
@@ -234,14 +222,11 @@ def d1_matrix_via_f(A, psi):
     return SparseMatrix.from_dict(A.field, A.dim, A.dim * A.c, entries)
 
 
-def zeromaps_window(A, psi):
-    """Three-term window (A^c, A, A) with the literal maps; middle homology
-    is the degree-0 stable dimension for the psi-left-twisted coefficients."""
-    return ChainComplexWindow([1, 0, -1],
-                              {1: A.dim * A.c, 0: A.dim, -1: A.dim},
-                              {1: d1_matrix(A, psi), 0: d0_matrix(A, psi)})
-
-
 def tate_hh0(A, psi):
-    """Degree-0 stable Hochschild dimension with psi-left-twisted coefficients."""
-    return zeromaps_window(A, psi).homology_dim(0)
+    """Degree-0 stable Hochschild dimension with psi-left-twisted
+    coefficients: H_0 of the window (A^c, A, A) of the structural maps.
+    bench/tracer.py binds the name; it can go with ROADMAP item 1 or 4."""
+    return ChainComplexWindow(
+        [1, 0, -1], {1: A.dim * A.c, 0: A.dim, -1: A.dim},
+        {1: d1_matrix_via_f(A, psi),
+         0: d0_matrix_via_s(A, psi)}).homology_dim(0)

@@ -10,7 +10,7 @@ bimodule resolution P spliced at degree 0 to its A^e-dual is one (Buchweitz
 
     C_n = B_j (x)_{A^e} P_n  (n >= 0),    C_{-n-1} = Hom_{A^e}(P_n, B_{j+1}),
 
-joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix(A, nu^j).  Tate
+joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix_via_s(A, nu^j).  Tate
 homology of nu^k in degree n is H_n(C(k)); Tate cohomology of nu^k in degree
 n is H_{-n-1}(C(k-1)); this holds for every integer n.  A method policy
 routes every degree, within the element budget, to one terminal, named in
@@ -36,7 +36,7 @@ unavailable with the reason instead of being guessed.
 """
 
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
-from .near_zero import d0_matrix, splice_dims
+from .near_zero import d0_matrix_via_s, splice_dims
 from .qci_algebra import mat_apply, twisted_bimodule
 from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
@@ -201,9 +201,9 @@ class TateWindow(ChainComplexWindow):
     ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
     the differentials of B_j (x) P and of Hom(P, B_{j+1}), read from A's
     characters (_Assembly) or from B_j built by nakayama_module; the norm
-    map is near_zero's literal d0.  ``maps[n]`` is the differential
-    C_n -> C_{n-1} itself, ranked whole.  Composition-zero is checked at
-    construction, across the splice too.
+    map is near_zero.d0_matrix_via_s, which splice_dims does not read.
+    ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
+    Composition-zero is checked at construction, across the splice too.
     """
 
     def __init__(self, A, j, lo, hi, budget, kind):
@@ -226,7 +226,7 @@ class TateWindow(ChainComplexWindow):
     def _map(self, n):
         """The map C_n -> C_{n-1}."""
         if n == 0:  # the norm map
-            return d0_matrix(self.A, self.A.nakayama(self.j))
+            return d0_matrix_via_s(self.A, self.A.nakayama(self.j))
         if n >= 1:
             return self._half(self.j, "homology")(n)
         return self._half(self.j + 1, "cohomology")(-n - 1)

@@ -30,7 +30,7 @@ from tatehh.cli_reports import (
     table_from_json,
 )
 from tatehh.hochschild_bar import DEFAULT_BUDGET
-from tatehh.near_zero import d0_matrix
+from tatehh.near_zero import d0_matrix_via_s
 from tatehh.tate_engine import TableEntry
 
 from oracles import is_commutative, is_exterior, twist_compose
@@ -413,8 +413,9 @@ class TestVerify:
     def test_corrupted_splice_twist_fails_a_duality_row(self, monkeypatch):
         # nu^{j+1} in place of nu^j in the norm map C_0 -> C_{-1}
         monkeypatch.setattr(
-            tate_engine, "d0_matrix",
-            lambda A, psi: d0_matrix(A, twist_compose(A, psi, A.nakayama(1))))
+            tate_engine, "d0_matrix_via_s",
+            lambda A, psi: d0_matrix_via_s(
+                A, twist_compose(A, psi, A.nakayama(1))))
         rows = run_verify("duality", 1)
         assert any(not row["pass"] for row in rows
                    if "spliced" in row["check"])

@@ -1,4 +1,5 @@
-"""The socle-crossing element, its exactness facts, and the degree-0 window."""
+"""The socle-crossing element, its exactness facts, the splice maps' integer
+and structural forms, and the degree-0 window."""
 
 import random
 from fractions import Fraction
@@ -6,25 +7,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tatehh import near_zero, tate_engine
+from tatehh import near_zero
 from tatehh.cli_reports import _duality_family
 from tatehh.closed_forms import ci_dim, exterior_dim, lower_bound
 from tatehh.exact_field import QQ, PrimeField, scalar_pow
-from tatehh.hochschild_bar import DEFAULT_BUDGET
+from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow
 from tatehh.near_zero import (
     build_s,
     check_exactness_claim,
-    d0_matrix,
     d0_matrix_via_s,
-    d1_matrix,
     d1_matrix_via_f,
+    d1_terms,
     env_dim,
     env_index,
     env_multiply,
     generator_difference,
+    norm_scalar,
     splice_dims,
     tate_hh0,
-    zeromaps_window,
 )
 from tatehh.qci_algebra import (
     QciAlgebra,
@@ -128,20 +128,12 @@ def test_check_exactness_claim_holds(A):
     assert check_exactness_claim(A) is True
 
 
-def test_zeromaps_window_shapes_and_composition():
-    A = codim2_algebra(QQ, 3, 2, Fraction(2))
-    W = zeromaps_window(A, A.identity_twist())
-    assert W.spaces == {1: 12, 0: 6, -1: 6}
-    assert W.homology_dim(0) >= 0
-    with pytest.raises(ValueError):
-        W.homology_dim(1)
-
-
 def test_d1_is_the_near_zero_rank_example():
     # two generators over Q with q = 2: the first map has rank (a-1)(b-1)
     for a, b in ((2, 2), (3, 2), (3, 3)):
         A = codim2_algebra(QQ, a, b, Fraction(2))
-        assert d1_matrix(A, A.identity_twist()).rank() == (a - 1) * (b - 1)
+        assert d1_matrix_via_f(A, A.identity_twist()).rank() == \
+            (a - 1) * (b - 1)
 
 
 def test_tate_hh0_frozen_values():
@@ -191,6 +183,18 @@ def test_lower_bound_on_random_family():
         assert tate_hh0(A, A.identity_twist()) >= lower_bound(A.exponents, p, 0)
 
 
+def assert_integer_forms_match_structural_maps(A, psi):
+    """d1_terms and norm_scalar, the integer forms splice_dims counts,
+    equal the structural d1 and d0 entry by entry."""
+    literal = sorted((target, idx + A.dim * w, A.scalar(num, den))
+                     for w, idx, target, num, den in d1_terms(A, psi))
+    assert [entry for entry in literal if entry[2]] == \
+        d1_matrix_via_f(A, psi).entries()
+    norm = A.scalar(*norm_scalar(A, psi))
+    assert d0_matrix_via_s(A, psi).entries() == \
+        ([(A.top_index, 0, norm)] if norm else [])
+
+
 TWIST_COMPARISON_CASES = [
     (truncated_polynomial_algebra(QQ, (2, 2)), "identity"),
     (exterior_algebra(QQ, 2), "nakayama"),
@@ -205,7 +209,7 @@ TWIST_COMPARISON_CASES = [
 @pytest.mark.parametrize("A,kind", TWIST_COMPARISON_CASES,
                          ids=[f"{k}-{A!r}" for A, k in TWIST_COMPARISON_CASES])
 def test_both_map_routes_agree_entrywise(A, kind):
-    """Literal coefficient formulas versus induced enveloping actions."""
+    """Integer coefficient formulas versus induced enveloping actions."""
     rng = random.Random(11)
     if kind == "identity":
         psi = A.identity_twist()
@@ -215,8 +219,7 @@ def test_both_map_routes_agree_entrywise(A, kind):
         psi = A.nakayama(-1)
     else:
         psi = tuple(A.field.of_int(rng.choice([1, 2, 3, -1])) for _ in range(A.c))
-    assert d0_matrix(A, psi) == d0_matrix_via_s(A, psi)
-    assert d1_matrix(A, psi) == d1_matrix_via_f(A, psi)
+    assert_integer_forms_match_structural_maps(A, psi)
 
 
 # generated QCIs: every c from 2 to 5, dim <= 32
@@ -253,14 +256,13 @@ def generated_qcis(draw, shapes=GENERATED_SHAPES):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(generated_qcis(), st.data())
 def test_property_literal_maps_match_structural_maps(A, data):
-    """The literal d0 and d1, built from the algebra's q-power table, equal
-    the induced actions of s and of 1 (x) x_w - x_w (x) 1 entrywise, for
-    every Nakayama power in -2..2 and a random unit twist."""
+    """norm_scalar and d1_terms, built from the algebra's q-power table,
+    equal the induced actions of s and of 1 (x) x_w - x_w (x) 1 entrywise,
+    for every Nakayama power in -2..2 and a random unit twist."""
     twists = [A.nakayama(j) for j in range(-2, 3)]
     twists.append(tuple(data.draw(units(A.field)) for _ in range(A.c)))
     for psi in twists:
-        assert d0_matrix(A, psi) == d0_matrix_via_s(A, psi)
-        assert d1_matrix(A, psi) == d1_matrix_via_f(A, psi)
+        assert_integer_forms_match_structural_maps(A, psi)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -340,29 +342,36 @@ def test_splice_entry_meeting_the_norm_fails_construction(monkeypatch,
 
 
 def test_norm_scalar_of_the_next_twist_fails_cross_validation(monkeypatch):
-    """splice_dims reading the norm scalar at nu^(j+1) in place of nu^j
-    changes degree 0 or -1 on an algebra of the verify duality family, and
-    the bar route disagrees."""
+    """norm_scalar read at nu^(j+1) in place of nu^j, for the whole module,
+    changes degree 0 or -1 of the auto table on an algebra of the verify
+    duality family, and the bar route disagrees: its norm map, like every
+    reference window's and tate_hh0's, is the structural action of s and
+    does not move under the patch."""
+    family = _duality_family()
+
     def disagreements():
         return [(label, variant, k, row["degree"])
-                for label, A in _duality_family()
+                for label, A in family
                 for variant in ("homology", "cohomology")
                 for k in (-1, 0, 1)
                 for row in cross_validate(
                     TateRequest(A, -1, 0, variant, k))["degrees"]
                 if not row["agree"]]
 
+    def references():
+        return [(tate_hh0(A, A.nakayama(j)),
+                 [TateWindow(A, j, 0, 0, DEFAULT_BUDGET, kind).maps[0]
+                  for kind in (ResolutionWindow, BarWindow)])
+                for _, A in family for j in (-1, 0, 1)]
+
     assert disagreements() == []
-    norm, splice = near_zero.norm_scalar, near_zero.splice_dims
+    before = references()
+    norm = near_zero.norm_scalar
 
     def next_twist_norm(A, psi):
         return norm(A, tuple(A.field.mul(alpha, nu)
                              for alpha, nu in zip(psi, A.nakayama(1))))
 
-    def shifted(A, j):
-        with monkeypatch.context() as patch:
-            patch.setattr(near_zero, "norm_scalar", next_twist_norm)
-            return splice(A, j)
-
-    monkeypatch.setattr(tate_engine, "splice_dims", shifted)
+    monkeypatch.setattr(near_zero, "norm_scalar", next_twist_norm)
+    assert references() == before
     assert disagreements()

@@ -12,7 +12,7 @@ from tatehh import hochschild_bar, twisted_resolution
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.codim2_complex import DeltaComplex
 from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
-from tatehh.near_zero import d1_matrix, d1_terms
+from tatehh.near_zero import d1_terms
 from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
@@ -65,12 +65,15 @@ def test_property_matches_bar_oracle(A, k):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(qcis(), st.integers(-2, 2))
 def test_property_literal_splice_maps_match_resolution(A, j):
-    """near_zero's literal d1 of nu^j, negated, is the resolution's own
-    boundary of degree 1, and the d1 terms of nu^(j+1), column block w made
-    row block w, are its coboundary of degree 0."""
+    """The d1 terms of nu^j, negated, are the resolution's own boundary of
+    degree 1, and the d1 terms of nu^(j+1), column block w made row block
+    w, are its coboundary of degree 0."""
     homology = ResolutionWindow.differentials(A, j, "homology")
     cohomology = ResolutionWindow.differentials(A, j + 1, "cohomology")
-    assert d1_matrix(A, A.nakayama(j), -1) == homology(1)
+    assert SparseMatrix(A.field, A.dim, A.dim * A.c, (
+        (target, idx + A.dim * w, A.scalar(-num, den))
+        for w, idx, target, num, den in d1_terms(A, A.nakayama(j)))) == \
+        homology(1)
     assert SparseMatrix(A.field, A.dim * A.c, A.dim, (
         (target + A.dim * w, idx, A.scalar(num, den))
         for w, idx, target, num, den in d1_terms(A, A.nakayama(j + 1)))) == \
