@@ -193,21 +193,9 @@ class DeltaComplex:
         return self.window.homology_dim(n)
 
 
-def kernel_dims(algebra, max_degree):
-    """dim ker delta_n for n = 1..max_degree."""
-    complex_ = DeltaComplex(algebra, max_degree)
-    return [complex_.kernel_dim(n) for n in range(1, max_degree + 1)]
-
-
 def expected_kernel_dim(algebra, n):
     """The published closed kernel count: ab t + ab - 1 at n = 2t, and
     ab t + ab + 1 at n = 2t + 1."""
     ab = algebra.dim
     t = n // 2
     return ab * t + ab - (1 if n % 2 == 0 else -1)
-
-
-def twisted_homology_dims(algebra, max_degree):
-    """dim HH_n with inverse-Nakayama-twisted coefficients, n = 1..max_degree-1."""
-    complex_ = DeltaComplex(algebra, max_degree)
-    return [complex_.homology_dim(n) for n in range(1, max_degree)]

@@ -122,6 +122,20 @@ def _tuple_index_decode(idx, dim_a, n):
     return out
 
 
+def _monomial_columns(B):
+    """The left and the right action of each monomial of A on B, indexed
+    by monomial, each as its columns: lists of (row, value)."""
+    sides = ([], [])
+    for m in range(B.algebra.dim):
+        for side, action in zip(sides, (B.left_monomial(m),
+                                        B.right_monomial(m))):
+            cols = [[] for _ in range(B.dim)]
+            for row, col, v in action.entries():
+                cols[col].append((row, v))
+            side.append(cols)
+    return sides
+
+
 def boundary_matrix(B, n):
     """The n-th homology boundary, mapping degree n to degree n - 1."""
     A = B.algebra
@@ -132,13 +146,15 @@ def boundary_matrix(B, n):
     entries = {}
 
     def acc(row, col, val):
-        cur = field.add(entries.get((row, col), field.zero), val)
-        if cur == field.zero:
-            entries.pop((row, col), None)
-        else:
+        cur = entries.get((row, col))
+        cur = val if cur is None else field.add(cur, val)
+        if cur:
             entries[(row, col)] = cur
+        else:
+            entries.pop((row, col), None)
 
     last_sign = field.one if n % 2 == 0 else minus_one
+    lefts, rights = _monomial_columns(B)
     for tup_idx in range(dim_a ** n):
         tup = _tuple_index_decode(tup_idx, dim_a, n)
         tail_idx = tup_idx // dim_a
@@ -157,15 +173,15 @@ def boundary_matrix(B, n):
                 new_idx = low + prod * weight + high * weight * dim_a
                 inner.append((field.mul(sign, coeff), new_idx))
             weight *= dim_a
-        right_col = B.right_monomial(tup[0])
-        left_col = B.left_monomial(tup[-1])
+        right_col = rights[tup[0]]
+        left_col = lefts[tup[-1]]
         for beta in range(dim_b):
             col = beta + dim_b * tup_idx
-            for row_b, v in right_col[beta].items():
+            for row_b, v in right_col[beta]:
                 acc(row_b + dim_b * tail_idx, col, v)
             for v, new_idx in inner:
                 acc(beta + dim_b * new_idx, col, v)
-            for row_b, v in left_col[beta].items():
+            for row_b, v in left_col[beta]:
                 acc(row_b + dim_b * head_idx, col, field.mul(last_sign, v))
     return SparseMatrix.from_dict(field, dim_b * dim_a ** (n - 1),
                                   dim_b * dim_a ** n, entries)
@@ -183,14 +199,16 @@ def coboundary_matrix(B, n):
     entries = {}
 
     def acc(row, col, val):
-        cur = field.add(entries.get((row, col), field.zero), val)
-        if cur == field.zero:
-            entries.pop((row, col), None)
-        else:
+        cur = entries.get((row, col))
+        cur = val if cur is None else field.add(cur, val)
+        if cur:
             entries[(row, col)] = cur
+        else:
+            entries.pop((row, col), None)
 
     last_sign = field.one if (n + 1) % 2 == 0 else minus_one
     top_weight = dim_a ** n
+    lefts, rights = _monomial_columns(B)
     for tup_idx in range(dim_a ** n):
         tup = _tuple_index_decode(tup_idx, dim_a, n)
         # splitting slot i of the argument tuple, positions i = 1..n
@@ -209,10 +227,10 @@ def coboundary_matrix(B, n):
             col = beta + dim_b * tup_idx
             for m0 in range(dim_a):
                 row_idx = m0 + dim_a * tup_idx
-                for row_b, v in B.left_monomial(m0)[beta].items():
+                for row_b, v in lefts[m0][beta]:
                     acc(row_b + dim_b * row_idx, col, v)
                 row_idx = tup_idx + top_weight * m0
-                for row_b, v in B.right_monomial(m0)[beta].items():
+                for row_b, v in rights[m0][beta]:
                     acc(row_b + dim_b * row_idx, col, field.mul(last_sign, v))
             for v, new_idx in splits:
                 acc(beta + dim_b * new_idx, col, v)

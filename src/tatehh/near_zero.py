@@ -22,7 +22,10 @@ L_w(u) = prod_{i>=w} q_wi^{u_i} and R_w(u) = prod_{j<=w} q_jw^{u_j}
 scalar prod_w (1 + alpha_w + ... + alpha_w^{a_w - 1}) and kills every other
 monomial.  These literal maps exist only as integer counts (d1_terms,
 norm_scalar); their one matrix form is structural (d1_matrix_via_f,
-d0_matrix_via_s), and the tests require the two to agree entry by entry.
+d0_matrix_via_s): the right actions of 1 (x) x_w - x_w (x) 1 and of s,
+read as the nu^j-twisted bimodule's own action matrices
+(qci_algebra.twisted_bimodule), since b . (l (x) r) = r b l.  The tests
+require the two forms to agree entry by entry.
 
 All three maps are weighted shifts, so splice_dims counts H_0 and H_{-1} of
 C(j) with no matrix.  A column of d_1 has at most one entry and a row of
@@ -37,6 +40,7 @@ suites), so none shares splice code with splice_dims.
 """
 
 from .exact_field import scalar_pow
+from .qci_algebra import twisted_bimodule
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 
 # ---------------------------------------------------------------------------
@@ -173,53 +177,33 @@ def splice_dims(A, j):
     return {0: A.dim - len(hit) - rank0, -1: A.dim - len(moved) - rank0}
 
 
-def _twisted_right_env_action(A, psi, element):
-    """Matrix of b -> b . element on the psi-left-twisted algebra.
-
-    The right action of l (x) r multiplies b by r on the left through the
-    twist and by l on the right: b . (l (x) r) = psi(r) (r b l).
-    """
-    field = A.field
-    table = A.structure_constants()
-    entries = {}
-    for key, coeff in element.items():
-        l, r = env_pair(A, key)
-        chi = A.twist_apply(psi, A.monomial_exps(r))
-        for b in range(A.dim):
-            first = table.get((r, b))
-            if first is None:
-                continue
-            second = table.get((first[1], l))
-            if second is None:
-                continue
-            value = field.mul(field.mul(coeff, chi),
-                              field.mul(first[0], second[0]))
-            pos = (second[1], b)
-            acc = field.add(entries.get(pos, field.zero), value)
-            if acc == field.zero:
-                entries.pop(pos, None)
-            else:
-                entries[pos] = acc
-    return entries
-
-
 def d0_matrix_via_s(A, psi):
-    """Structural zeroth map: the right action of s."""
-    A.validate_twist(psi)
-    return SparseMatrix.from_dict(A.field, A.dim, A.dim,
-                                  _twisted_right_env_action(A, psi, build_s(A)))
+    """Structural zeroth map: the right action of s on B =
+    twisted_bimodule(A, psi), where b . (l (x) r) = r b l, so the sum over
+    the terms of s of coeff L_r R_l with B's monomial actions."""
+    field = A.field
+    B = twisted_bimodule(A, psi)
+    entries = {}
+    for key, coeff in build_s(A).items():
+        l, r = env_pair(A, key)
+        action = B.left_monomial(r).compose(B.right_monomial(l))
+        for i, j, v in action.entries():
+            entries[(i, j)] = field.add(entries.get((i, j), field.zero),
+                                        field.mul(coeff, v))
+    return SparseMatrix.from_dict(field, A.dim, A.dim, entries)
 
 
 def d1_matrix_via_f(A, psi):
     """Structural first map: block w is the right action of
-    1 (x) x_w - x_w (x) 1."""
-    A.validate_twist(psi)
-    entries = {}
-    for w in range(1, A.c + 1):
-        block = _twisted_right_env_action(A, psi, generator_difference(A, w))
-        for (i, b), v in block.items():
-            entries[(i, b + A.dim * (w - 1))] = v
-    return SparseMatrix.from_dict(A.field, A.dim, A.dim * A.c, entries)
+    1 (x) x_w - x_w (x) 1 on B = twisted_bimodule(A, psi), B's own
+    left minus right action of x_w."""
+    B = twisted_bimodule(A, psi)
+    minus_one = A.field.neg(A.field.one)
+    entries = []
+    for w, (left, right) in enumerate(zip(B.left, B.right)):
+        block = left.add(right.scale(minus_one))
+        entries.extend((i, b + A.dim * w, v) for i, b, v in block.entries())
+    return SparseMatrix(A.field, A.dim, A.dim * A.c, entries)
 
 
 def tate_hh0(A, psi):

@@ -7,72 +7,17 @@ mixed radix with e_1 fastest.  Special cases: exterior algebras (all a_i = 2,
 off-diagonal q = -1) and commutative truncated polynomial rings (all q = 1).
 
 Bimodules are encoded by the action matrices of the generators on a chosen
-basis; the left actions form an algebra homomorphism, the right actions an
-antihomomorphism, and the two sides commute.  Diagonal twists (automorphisms
-scaling each generator) give the twisted bimodules used throughout, and the
-linear dual of a bimodule transposes the actions and exchanges the sides.
+basis, each a sparse_linalg.SparseMatrix; the left actions form an algebra
+homomorphism, the right actions an antihomomorphism, and the two sides
+commute.  Diagonal twists (automorphisms scaling each generator) give the
+twisted bimodules used throughout, and the linear dual of a bimodule
+transposes the actions and exchanges the sides.
 """
 
 from fractions import Fraction
 from math import prod
 
-from .exact_field import scalar_pow
-
-
-# ---------------------------------------------------------------------------
-# small column-sparse matrices: a matrix is a list of columns, each a dict
-# row -> nonzero scalar.  Dimensions are tiny (<= dim A <= a few dozen), so
-# clarity beats cleverness here.
-# ---------------------------------------------------------------------------
-
-def mat_zero(dim):
-    return [dict() for _ in range(dim)]
-
-
-def mat_identity(field, dim):
-    return [{j: field.one} for j in range(dim)]
-
-
-def mat_apply(field, cols, vec):
-    """Apply the matrix to a dict vector, dropping cancellations."""
-    out = {}
-    for j, coeff in vec.items():
-        for i, mij in cols[j].items():
-            val = field.add(out.get(i, field.zero), field.mul(mij, coeff))
-            if not val:
-                out.pop(i, None)
-            else:
-                out[i] = val
-    return out
-
-
-def mat_mul(field, left, right):
-    return [mat_apply(field, left, col) for col in right]
-
-
-def mat_pow(field, cols, n):
-    result = mat_identity(field, len(cols))
-    for _ in range(n):
-        result = mat_mul(field, cols, result)
-    return result
-
-
-def mat_scale(field, scalar, cols):
-    if scalar == field.zero:
-        return mat_zero(len(cols))
-    return [{i: field.mul(scalar, v) for i, v in col.items()} for col in cols]
-
-
-def mat_transpose(dim_rows, cols):
-    out = [dict() for _ in range(dim_rows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
-
-
-def mat_is_zero(cols):
-    return all(not col for col in cols)
+from .sparse_linalg import SparseMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +253,6 @@ class QciAlgebra:
             if alpha == self.field.zero:
                 raise ValueError(f"twist scalar {w} must be a unit")
 
-    def twist_apply(self, f, exps):
-        """Scalar by which the twist acts on a monomial with these exponents."""
-        value = self.field.one
-        for alpha, e in zip(f, exps):
-            value = self.field.mul(value, scalar_pow(self.field, alpha, e))
-        return value
-
     def describe(self):
         field = self.field
         return {
@@ -351,88 +289,90 @@ def codim2_algebra(field, a, b, q12):
 # bimodules
 # ---------------------------------------------------------------------------
 
+
 class Bimodule:
     """A finite-dimensional bimodule given by generator action matrices.
 
-    ``left[w]`` is the matrix of the left action of x_{w+1}, ``right[w]`` of
-    the right action, both as column-sparse matrices on a basis of size
-    ``dim``.  Construction verifies the defining relations: left powers and
-    right powers vanish at the algebra's exponents, left actions q-commute,
-    right actions q-commute contravariantly, and the two sides commute.
+    ``left[w]`` is the SparseMatrix of the left action of x_{w+1} and
+    ``right[w]`` that of the right action, all square of size ``dim``.
+    Construction verifies the defining relations: left powers and right
+    powers vanish at the algebra's exponents, left actions q-commute, right
+    actions q-commute contravariantly, and the two sides commute.
     """
 
     def __init__(self, algebra, left, right, label=""):
         self.algebra = algebra
         self.field = algebra.field
-        self.left = [list(m) for m in left]
-        self.right = [list(m) for m in right]
+        self.left = list(left)
+        self.right = list(right)
         if len(self.left) != algebra.c or len(self.right) != algebra.c:
             raise ValueError("one action matrix per generator and side required")
-        dims = {len(m) for m in self.left} | {len(m) for m in self.right}
-        if len(dims) != 1:
-            raise ValueError("action matrices must share one dimension")
-        self.dim = dims.pop()
+        shapes = {m.shape for m in self.left + self.right}
+        if len(shapes) != 1:
+            raise ValueError("action matrices must share one shape")
+        self.dim, ncols = shapes.pop()
+        if self.dim != ncols:
+            raise ValueError("action matrices must be square")
         self.label = label
         self._left_mono = {}
         self._right_mono = {}
         self.validate()
 
     def validate(self):
-        field = self.field
-        A = self.algebra
-        for w in range(A.c):
-            if not mat_is_zero(mat_pow(field, self.left[w], A.exponents[w])):
-                raise ValueError(f"left action of generator {w} does not nilpote "
-                                 f"at exponent {A.exponents[w]}")
-            if not mat_is_zero(mat_pow(field, self.right[w], A.exponents[w])):
-                raise ValueError(f"right action of generator {w} does not nilpote "
-                                 f"at exponent {A.exponents[w]}")
+        A, L, R = self.algebra, self.left, self.right
+        for w, a in enumerate(A.exponents):
+            for side, m in (("left", L[w]), ("right", R[w])):
+                power = m
+                for _ in range(a - 1):
+                    power = m.compose(power)
+                if not power.is_zero():
+                    raise ValueError(f"{side} action of generator {w} does not "
+                                     f"nilpote at exponent {a}")
+        # the relation of (j, i) is that of (i, j), as q_ji = 1 / q_ij
         for i in range(A.c):
             for j in range(A.c):
-                if i != j:
-                    lhs = mat_mul(field, self.left[i], self.left[j])
-                    rhs = mat_scale(field, A.q[i][j],
-                                    mat_mul(field, self.left[j], self.left[i]))
-                    if lhs != rhs:
+                if i < j:
+                    q = A.q[i][j]
+                    if L[i].compose(L[j]) != L[j].compose(L[i]).scale(q):
                         raise ValueError(f"left actions {i},{j} violate the "
                                          "commutation relation")
-                    lhs = mat_mul(field, self.right[j], self.right[i])
-                    rhs = mat_scale(field, A.q[i][j],
-                                    mat_mul(field, self.right[i], self.right[j]))
-                    if lhs != rhs:
+                    if R[j].compose(R[i]) != R[i].compose(R[j]).scale(q):
                         raise ValueError(f"right actions {i},{j} violate the "
                                          "commutation relation")
-                lhs = mat_mul(field, self.left[i], self.right[j])
-                rhs = mat_mul(field, self.right[j], self.left[i])
-                if lhs != rhs:
+                if L[i].compose(R[j]) != R[j].compose(L[i]):
                     raise ValueError(f"left action {i} and right action {j} "
                                      "do not commute")
 
     # monomial actions: the left action is a homomorphism, so a normal-form
     # monomial acts by L_c^{e_c} ... L_1^{e_1}; on the right the factors apply
-    # in word order, giving R_1^{e_1} ... R_c^{e_c}.
+    # in word order, giving R_1^{e_1} ... R_c^{e_c}.  Each is one product
+    # with the action of a shorter monomial: its outermost factor, the
+    # highest generator present on the left and the lowest on the right,
+    # times the rest.
 
     def left_monomial(self, mono_idx):
-        cols = self._left_mono.get(mono_idx)
-        if cols is None:
-            exps = self.algebra.monomial_exps(mono_idx)
-            cols = mat_identity(self.field, self.dim)
-            for w in range(self.algebra.c):
-                for _ in range(exps[w]):
-                    cols = mat_mul(self.field, self.left[w], cols)
-            self._left_mono[mono_idx] = cols
-        return cols
+        return self._monomial(self._left_mono, self.left, mono_idx,
+                              range(self.algebra.c - 1, -1, -1))
 
     def right_monomial(self, mono_idx):
-        cols = self._right_mono.get(mono_idx)
-        if cols is None:
+        return self._monomial(self._right_mono, self.right, mono_idx,
+                              range(self.algebra.c))
+
+    def _monomial(self, cache, actions, mono_idx, outer_first):
+        """The monomial's action, its outermost factor being the action of
+        the first generator of ``outer_first`` it contains; memoised."""
+        mat = cache.get(mono_idx)
+        if mat is None:
             exps = self.algebra.monomial_exps(mono_idx)
-            cols = mat_identity(self.field, self.dim)
-            for w in range(self.algebra.c - 1, -1, -1):
-                for _ in range(exps[w]):
-                    cols = mat_mul(self.field, self.right[w], cols)
-            self._right_mono[mono_idx] = cols
-        return cols
+            w = next((w for w in outer_first if exps[w]), None)
+            if w is None:
+                mat = SparseMatrix.identity(self.field, self.dim)
+            else:
+                rest = mono_idx - self.algebra.generator_index(w + 1)
+                mat = actions[w].compose(
+                    self._monomial(cache, actions, rest, outer_first))
+            cache[mono_idx] = mat
+        return mat
 
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
@@ -446,7 +386,7 @@ def twisted_bimodule(algebra, f=None, g=None, label=None):
     means the identity.  With both identities this is the regular bimodule.
     """
     A = algebra
-    field = A.field
+    field, dim = A.field, A.dim
     if f is None:
         f = A.identity_twist()
     if g is None:
@@ -454,25 +394,19 @@ def twisted_bimodule(algebra, f=None, g=None, label=None):
     A.validate_twist(f)
     A.validate_twist(g)
     table = A.structure_constants()
+
+    def action(scalar, products):
+        """x^j -> scalar * coeff x^k for each (j, (coeff, k))."""
+        return SparseMatrix(field, dim, dim, (
+            (k, j, field.mul(scalar, coeff)) for j, (coeff, k) in products))
+
     left, right = [], []
-    for w in range(1, A.c + 1):
-        gi = A.generator_index(w)
-        lcols, rcols = [dict() for _ in range(A.dim)], [dict() for _ in range(A.dim)]
-        for j in range(A.dim):
-            hit = table.get((gi, j))
-            if hit is not None:
-                coeff, k = hit
-                val = field.mul(f[w - 1], coeff)
-                if val != field.zero:
-                    lcols[j][k] = val
-            hit = table.get((j, gi))
-            if hit is not None:
-                coeff, k = hit
-                val = field.mul(g[w - 1], coeff)
-                if val != field.zero:
-                    rcols[j][k] = val
-        left.append(lcols)
-        right.append(rcols)
+    for w in range(A.c):
+        gi = A.generator_index(w + 1)
+        left.append(action(f[w], ((j, table[gi, j]) for j in range(dim)
+                                  if (gi, j) in table)))
+        right.append(action(g[w], ((j, table[j, gi]) for j in range(dim)
+                                   if (j, gi) in table)))
     if label is None:
         label = "regular"
         if any(v != field.one for v in f) or any(v != field.one for v in g):
@@ -486,9 +420,8 @@ def regular_bimodule(algebra):
 
 def dual_bimodule(B, label=None):
     """The linear dual: actions transposed, sides exchanged."""
-    left = [mat_transpose(B.dim, m) for m in B.right]
-    right = [mat_transpose(B.dim, m) for m in B.left]
+    left = [m.transpose() for m in B.right]
+    right = [m.transpose() for m in B.left]
     if label is None:
         label = f"dual({B.label})" if B.label else "dual"
     return Bimodule(B.algebra, left, right, label=label)
-

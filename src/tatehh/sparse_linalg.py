@@ -97,22 +97,23 @@ class SparseMatrix:
         """Matrix product self * other."""
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.shape} with {other.shape}")
-        field = self.field
-        add, mul = field.add, field.mul
-        out = {}
+        add, mul = self.field.add, self.field.mul
+        out = SparseMatrix(self.field, self.nrows, other.ncols)
         for i, row in self._rows.items():
+            # entries are nonzero, so only a sum can vanish; it is dropped
             acc = {}
             for k, v in row.items():
-                orow = other._rows.get(k)
-                if not orow:
-                    continue
-                for j, w in orow.items():
-                    val = acc.get(j)
-                    acc[j] = mul(v, w) if val is None else add(val, mul(v, w))
-            for j, val in acc.items():
-                if val:
-                    out[(i, j)] = val
-        return SparseMatrix.from_dict(field, self.nrows, other.ncols, out)
+                for j, w in other._rows.get(k, {}).items():
+                    if j not in acc:
+                        acc[j] = mul(v, w)
+                    elif val := add(acc[j], mul(v, w)):
+                        acc[j] = val
+                    else:
+                        del acc[j]
+            if acc:
+                out._rows[i] = acc
+                out._nnz += len(acc)
+        return out
 
     def apply(self, vec):
         """Image of a dict vector {col: scalar} as {row: scalar}."""
@@ -128,9 +129,14 @@ class SparseMatrix:
         return out
 
     def scale(self, scalar):
-        return SparseMatrix(self.field, self.nrows, self.ncols,
-                            ((i, j, self.field.mul(scalar, v))
-                             for i, j, v in self.entries()))
+        """The matrix times a field element."""
+        mul = self.field.mul
+        out = SparseMatrix(self.field, self.nrows, self.ncols)
+        if scalar:
+            out._rows = {i: {j: mul(scalar, v) for j, v in row.items()}
+                         for i, row in self._rows.items()}
+            out._nnz = self._nnz
+        return out
 
     def add(self, other):
         if self.shape != other.shape:
@@ -330,15 +336,9 @@ class ChainComplexWindow:
                 raise ValueError(
                     f"maps at degrees {n + 1} and {n} do not compose to zero")
 
-    def interior_degrees(self):
-        return [n for n in self.degrees if self.lo < n < self.hi]
-
     def homology_dim(self, n):
         """dim ker(map out of degree n) - rank(map into degree n)."""
         if not (self.lo < n < self.hi):
             raise ValueError(
                 f"degree {n} is not interior to the window [{self.lo}, {self.hi}]")
         return (self.spaces[n] - self.maps[n].rank()) - self.maps[n + 1].rank()
-
-    def homology_dims(self):
-        return {n: self.homology_dim(n) for n in self.interior_degrees()}

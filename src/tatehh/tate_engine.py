@@ -37,7 +37,7 @@ unavailable with the reason instead of being guessed.
 
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix_via_s, splice_dims
-from .qci_algebra import mat_apply, twisted_bimodule
+from .qci_algebra import twisted_bimodule
 from .records import Record
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 from .twisted_resolution import Census, ResolutionWindow
@@ -156,13 +156,12 @@ def twisted_centre(M, sigma):
     dim = M.dim
     entries = {}
     for w, (left, right) in enumerate(zip(M.left, M.right)):
-        for col in range(dim):
-            for row, v in left[col].items():
-                entries[(w * dim + row, col)] = v
-            for row, v in right[col].items():
-                key = (w * dim + row, col)
-                entries[key] = field.sub(entries.get(key, field.zero),
-                                         field.mul(sigma[w], v))
+        for row, col, v in left.entries():
+            entries[(w * dim + row, col)] = v
+        for row, col, v in right.entries():
+            key = (w * dim + row, col)
+            entries[key] = field.sub(entries.get(key, field.zero),
+                                     field.mul(sigma[w], v))
     return SparseMatrix.from_dict(field, len(M.left) * dim, dim,
                                   entries).kernel_basis()
 
@@ -179,7 +178,7 @@ def bimodules_isomorphic(M, sigma):
     if M.dim != A.dim:
         return False
     top = M.right_monomial(A.top_index)
-    return any(mat_apply(M.field, top, z) for z in twisted_centre(M, sigma))
+    return any(top.apply(z) for z in twisted_centre(M, sigma))
 
 
 def recognize_nakayama_power(A, M, expected_first=0, span=3):

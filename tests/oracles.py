@@ -9,13 +9,15 @@ applies to a table cell is decided here (closed_form_dim).
 The element-level helpers below the oracles (multiply, the twist group
 operations, the bimodule actions on elements and retwist) are the tests'
 own API over the package's structure constants and action matrices; no
-route of the package reads them.
+route of the package reads them.  Action matrices are read column by
+column (columns) and multiplied here (mat_apply, mat_mul), not by
+SparseMatrix arithmetic.
 """
 
 from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, \
     codim2_homology_dim, exterior_dim
 from tatehh.exact_field import scalar_pow
-from tatehh.qci_algebra import Bimodule, mat_apply, mat_scale
+from tatehh.qci_algebra import Bimodule
 
 
 def rewrite_word(field, exponents, q, word):
@@ -85,6 +87,28 @@ def dense_rank(field, rows):
     return rank
 
 
+def columns(m):
+    """A SparseMatrix as a list of column dicts {row: scalar}."""
+    cols = [{} for _ in range(m.ncols)]
+    for i, j, v in m.entries():
+        cols[j][i] = v
+    return cols
+
+
+def mat_apply(field, cols, vec):
+    """A column-dict matrix applied to a dict vector, zeros dropped."""
+    out = {}
+    for j, coeff in vec.items():
+        for i, v in cols[j].items():
+            _accumulate(field, out, i, field.mul(v, coeff))
+    return out
+
+
+def mat_mul(field, left, right):
+    """The product of two column-dict matrices."""
+    return [mat_apply(field, left, column) for column in right]
+
+
 def cols_to_rows(field, ncols_rows, cols):
     """Dense row list from a column-dict matrix with ``ncols_rows`` rows."""
     rows = [[field.zero] * len(cols) for _ in range(ncols_rows)]
@@ -139,6 +163,7 @@ def intertwiner_space_dim(field, M, N):
     dim = M.dim
     rows = []
     for act_m, act_n in zip(M.left + M.right, N.left + N.right):
+        act_m, act_n = columns(act_m), columns(act_n)
         for r in range(dim):
             for t in range(dim):
                 row = [field.zero] * (dim * dim)
@@ -207,22 +232,10 @@ def resolution_generators(c, n):
             for rest in resolution_generators(c - 1, n - h)]
 
 
-def _column_product(field, left, right):
-    """The product of two square matrices given as lists of column dicts."""
-    out = []
-    for column in right:
-        acc = {}
-        for k, v in column.items():
-            for i, u in left[k].items():
-                acc[i] = field.add(acc.get(i, field.zero), field.mul(u, v))
-        out.append({i: v for i, v in acc.items() if v != field.zero})
-    return out
-
-
 def _column_power(field, cols, k):
     out = [{i: field.one} for i in range(len(cols))]
     for _ in range(k):
-        out = _column_product(field, cols, out)
+        out = mat_mul(field, cols, out)
     return out
 
 
@@ -253,6 +266,7 @@ def resolution_map(B, n, variant):
     rescaled: every summand is recomputed from the formula.
     """
     A, field, dim = B.algebra, B.field, B.dim
+    lefts, rights = [columns(m) for m in B.left], [columns(m) for m in B.right]
     homology = variant == "homology"
     top = n if homology else n + 1
     targets = {i: s for s, i in
@@ -281,9 +295,9 @@ def resolution_map(B, n, variant):
                           j, a - 1 - j) for j in range(a)]
             for scalar, j, k in terms:
                 left, right = (k, j) if homology else (j, k)
-                sandwich = _column_product(
-                    field, _column_power(field, B.left[w], left),
-                    _column_power(field, B.right[w], right))
+                sandwich = mat_mul(
+                    field, _column_power(field, lefts[w], left),
+                    _column_power(field, rights[w], right))
                 scalar = field.mul(sign, scalar)
                 for col, column in enumerate(sandwich):
                     for row, v in column.items():
@@ -377,10 +391,19 @@ def twist_pow(A, f, k):
     return tuple(scalar_pow(A.field, a, k) for a in f)
 
 
+def twist_apply(A, f, exps):
+    """Scalar by which the twist acts on a monomial with these exponents."""
+    value = A.field.one
+    for alpha, e in zip(f, exps):
+        value = A.field.mul(value, scalar_pow(A.field, alpha, e))
+    return value
+
+
 def _act(B, monomial_action, element, vec):
     field, out = B.field, {}
     for mono, coeff in element.items():
-        for i, v in mat_apply(field, monomial_action(mono), vec).items():
+        for i, v in mat_apply(field, columns(monomial_action(mono)),
+                              vec).items():
             _accumulate(field, out, i, field.mul(coeff, v))
     return out
 
@@ -401,11 +424,11 @@ def equal_actions(B, C):
 
 def retwist(B, f=None, g=None):
     """B with the left action scaled by a diagonal twist f, the right by g."""
-    A, field = B.algebra, B.field
+    A = B.algebra
     f = A.identity_twist() if f is None else f
     g = A.identity_twist() if g is None else g
     A.validate_twist(f)
     A.validate_twist(g)
-    return Bimodule(A, [mat_scale(field, f[w], B.left[w]) for w in range(A.c)],
-                    [mat_scale(field, g[w], B.right[w]) for w in range(A.c)],
+    return Bimodule(A, [B.left[w].scale(f[w]) for w in range(A.c)],
+                    [B.right[w].scale(g[w]) for w in range(A.c)],
                     label="retwist")

@@ -9,8 +9,6 @@ from tatehh.codim2_complex import (
     DeltaComplex,
     KScalarTable,
     expected_kernel_dim,
-    kernel_dims,
-    twisted_homology_dims,
 )
 from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
 
@@ -108,7 +106,8 @@ class TestDeltaComplex:
         assert complex_.window.spaces == {n: (n + 1) * 6 for n in range(6)}
 
     def test_frozen_kernel_dimensions(self):
-        assert kernel_dims(generic_algebra(2, 2), 2) == [5, 7]
+        complex_ = DeltaComplex(generic_algebra(2, 2), 2)
+        assert [complex_.kernel_dim(n) for n in (1, 2)] == [5, 7]
         assert DeltaComplex(generic_algebra(3, 2), 3).kernel_dim(3) == 13
 
     @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (2, 4),
@@ -117,7 +116,8 @@ class TestDeltaComplex:
     def test_kernel_dimensions_match_closed_count(self, a, b):
         A = generic_algebra(a, b, Fraction(2))
         upto = 8 if a * b <= 6 else 5
-        assert kernel_dims(A, upto) == \
+        complex_ = DeltaComplex(A, upto)
+        assert [complex_.kernel_dim(n) for n in range(1, upto + 1)] == \
             [expected_kernel_dim(A, n) for n in range(1, upto + 1)]
 
     @pytest.mark.parametrize("a,b,q,upto", [
@@ -127,7 +127,9 @@ class TestDeltaComplex:
     ])
     def test_twisted_homology_vanishes(self, a, b, q, upto):
         A = generic_algebra(a, b, q)
-        assert twisted_homology_dims(A, upto) == [0] * (upto - 1)
+        complex_ = DeltaComplex(A, upto)
+        assert [complex_.homology_dim(n) for n in range(1, upto)] == \
+            [0] * (upto - 1)
 
     def test_degree_bound_validated(self):
         with pytest.raises(ValueError, match="differential"):
@@ -145,5 +147,6 @@ class TestBarAgreement:
         n_max = 3 if A.dim <= 4 else 2
         twist = twisted_bimodule(A, A.nakayama(-1), A.identity_twist())
         bar = hh_homology_dims(BarWindowRequest(twist, n_max, "homology"))
-        delta = twisted_homology_dims(A, n_max + 1)
+        complex_ = DeltaComplex(A, n_max + 1)
+        delta = [complex_.homology_dim(n) for n in range(1, n_max + 1)]
         assert bar[1:] == delta[:n_max]

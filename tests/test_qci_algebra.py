@@ -6,22 +6,22 @@ from fractions import Fraction
 import pytest
 
 from tatehh.exact_field import QQ, PrimeField
+from tatehh.sparse_linalg import SparseMatrix
 from tatehh.qci_algebra import (
     Bimodule,
     QciAlgebra,
     codim2_algebra,
     dual_bimodule,
     exterior_algebra,
-    mat_mul,
     regular_bimodule,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
 
-from oracles import equal_actions, frobenius_functional, \
-    has_equal_exponents, is_commutative, is_exterior, left_apply, multiply, \
-    oracle_multiply, retwist, right_apply, twist_compose, twist_inverse, \
-    twist_pow
+from oracles import columns, equal_actions, frobenius_functional, \
+    has_equal_exponents, is_commutative, is_exterior, left_apply, mat_mul, \
+    multiply, oracle_multiply, retwist, right_apply, twist_apply, \
+    twist_compose, twist_inverse, twist_pow
 
 
 def sample_algebras():
@@ -166,7 +166,7 @@ def test_twist_helpers():
     g = (Fraction(1, 2), Fraction(3))
     assert twist_compose(A, f, twist_inverse(A, f)) == A.identity_twist()
     assert twist_pow(A, f, 3) == (Fraction(8), Fraction(-1))
-    assert A.twist_apply(f, (1, 1)) == -2
+    assert twist_apply(A, f, (1, 1)) == -2
     with pytest.raises(ValueError):
         A.validate_twist((Fraction(1),))
     with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ def test_bimodule_validation_rejects_broken_actions():
     A = exterior_algebra(QQ, 2)
     B = regular_bimodule(A)
     # identity as a left action is not nilpotent
-    bad_left = [[{j: QQ.one} for j in range(A.dim)], B.left[1]]
+    bad_left = [SparseMatrix.identity(QQ, A.dim), B.left[1]]
     with pytest.raises(ValueError, match="nilpote"):
         Bimodule(A, bad_left, B.right)
     # with q = 2 the two left generator actions cannot be swapped
@@ -234,6 +234,23 @@ def test_bimodule_validation_rejects_broken_actions():
     BD = regular_bimodule(D)
     with pytest.raises(ValueError, match="commutation"):
         Bimodule(D, [BD.left[1], BD.left[0]], BD.right)
+
+
+def test_bimodule_rejects_malformed_action_shapes():
+    A = exterior_algebra(QQ, 2)
+    B = regular_bimodule(A)
+    # one matrix per generator and side
+    with pytest.raises(ValueError, match="one action matrix"):
+        Bimodule(A, B.left[:1], B.right)
+    with pytest.raises(ValueError, match="one action matrix"):
+        Bimodule(A, B.left, B.right + [B.right[0]])
+    # every action on the same space
+    with pytest.raises(ValueError, match="one shape"):
+        Bimodule(A, [B.left[0], SparseMatrix(QQ, 3, 3)], B.right)
+    # square actions
+    wide = SparseMatrix(QQ, A.dim, A.dim + 1)
+    with pytest.raises(ValueError, match="square"):
+        Bimodule(A, [wide, wide], [wide, wide])
 
 
 @pytest.mark.parametrize("A", sample_algebras(), ids=lambda A: repr(A))
@@ -266,8 +283,10 @@ def test_twist_shift_isomorphism(A):
     g = tuple(field.of_int(3 * k + 5) for k in range(A.c))
     src = twisted_bimodule(A, f, g)
     tgt = twisted_bimodule(A, twist_compose(A, f, twist_inverse(A, g)), None)
-    phi = [{j: A.twist_apply(twist_inverse(A, g), A.monomial_exps(j))}
+    phi = [{j: twist_apply(A, twist_inverse(A, g), A.monomial_exps(j))}
            for j in range(A.dim)]
     for w in range(A.c):
-        assert mat_mul(field, phi, src.left[w]) == mat_mul(field, tgt.left[w], phi)
-        assert mat_mul(field, phi, src.right[w]) == mat_mul(field, tgt.right[w], phi)
+        assert mat_mul(field, phi, columns(src.left[w])) == \
+            mat_mul(field, columns(tgt.left[w]), phi)
+        assert mat_mul(field, phi, columns(src.right[w])) == \
+            mat_mul(field, columns(tgt.right[w]), phi)

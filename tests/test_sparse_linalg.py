@@ -362,7 +362,6 @@ def test_window_two_step_hand_case():
     W2 = ChainComplexWindow([2, 1, 0], {2: 1, 1: 2, 0: 1},
                             {2: SparseMatrix(QQ, 2, 1, []), 1: d1})
     assert W2.homology_dim(1) == 1
-    assert W2.homology_dims() == {1: 1}
 
 
 def test_window_homology_matches_dense_reference():

@@ -18,7 +18,7 @@ from tatehh import (
 )
 from tatehh.cli_reports import EXIT_BUDGET, main
 from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
-from tatehh.qci_algebra import QciAlgebra, mat_apply, mat_mul
+from tatehh.qci_algebra import QciAlgebra
 from tatehh.tate_engine import (
     TateRequest,
     bimodules_isomorphic,
@@ -30,8 +30,8 @@ from tatehh.tate_engine import (
     twisted_centre,
 )
 
-from oracles import closed_form_dim, cols_to_rows, dense_rank, \
-    intertwiner_space_dim
+from oracles import closed_form_dim, cols_to_rows, columns, dense_rank, \
+    intertwiner_space_dim, mat_apply, mat_mul
 
 TERMINALS = ("resolution", "oracle")
 
@@ -260,13 +260,13 @@ class TestTwistedCentre:
                 centre = twisted_centre(M, A.nakayama(j))
                 assert len(centre) == intertwiner_space_dim(field, N, M)
                 # every z gives the bimodule map a -> z.a from N to M
-                maps = [[mat_apply(field, M.right_monomial(a), z)
+                maps = [[mat_apply(field, columns(M.right_monomial(a)), z)
                          for a in range(A.dim)] for z in centre]
                 for phi in maps:
                     for act_n, act_m in zip(N.left + N.right,
                                             M.left + M.right):
-                        assert mat_mul(field, phi, act_n) == \
-                            mat_mul(field, act_m, phi)
+                        assert mat_mul(field, phi, columns(act_n)) == \
+                            mat_mul(field, columns(act_m), phi)
                 full = [phi for phi in maps
                         if dense_rank(field, cols_to_rows(field, A.dim, phi))
                         == A.dim]

@@ -20,7 +20,7 @@ from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
 from tatehh.twisted_resolution import Census, ResolutionWindow, \
     chain_space_dim, generators
 
-from oracles import _column_power, _column_product, edge_lemma_scalar, \
+from oracles import _column_power, columns, edge_lemma_scalar, mat_mul, \
     resolution_map
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
@@ -94,9 +94,9 @@ def test_property_sandwiches_match_bimodule_actions(A):
             (w, k, l) for w, a in enumerate(A.exponents)
             for k in range(a) for l in range(a) if k + l in (1, a - 1)}
         for (w, k, l), entries in table.items():
-            expected = _column_product(
-                field, _column_power(field, B.left[w], k),
-                _column_power(field, B.right[w], l))
+            expected = mat_mul(
+                field, _column_power(field, columns(B.left[w]), k),
+                _column_power(field, columns(B.right[w]), l))
             assert {(row, col): A.scalar(v, den)
                     for row, col, v in entries} == \
                 {(row, col): v for col, column in enumerate(expected)
@@ -344,18 +344,17 @@ def enveloping_bimodule(A):
     left, right = [], []
     for w in range(1, A.c + 1):
         g = A.generator_index(w)
-        lcols, rcols = [dict() for _ in range(dim * dim)], \
-            [dict() for _ in range(dim * dim)]
+        lentries, rentries = [], []
         for u in range(dim):
             for v in range(dim):
                 hit = table.get((g, v))
                 if hit is not None:
-                    lcols[u + dim * v][u + dim * hit[1]] = hit[0]
+                    lentries.append((u + dim * hit[1], u + dim * v, hit[0]))
                 hit = table.get((u, g))
                 if hit is not None:
-                    rcols[u + dim * v][hit[1] + dim * v] = hit[0]
-        left.append(lcols)
-        right.append(rcols)
+                    rentries.append((hit[1] + dim * v, u + dim * v, hit[0]))
+        left.append(SparseMatrix(A.field, dim * dim, dim * dim, lentries))
+        right.append(SparseMatrix(A.field, dim * dim, dim * dim, rentries))
     return Bimodule(A, left, right, label="enveloping")
 
 
