@@ -25,6 +25,7 @@ are explicit.
 import argparse
 import functools
 import json
+import re
 import sys
 from math import prod
 from random import Random
@@ -116,11 +117,8 @@ def _load_spec(args):
 def _parse_coeff(text):
     if text == "regular":
         return 0
-    if text.startswith("nu:"):
-        try:
-            return int(text[3:])
-        except ValueError:
-            pass
+    if text.startswith("nu:") and re.fullmatch(r"[+-]?[0-9]+", text[3:]):
+        return int(text[3:])
     raise ValueError(f"coefficient must be 'regular' or 'nu:K', got {text!r}")
 
 
@@ -389,10 +387,9 @@ def _suite_duality(max_degree, budget):
                 co = BarWindow(B, upto, "cohomology", budget).dimensions()
                 ho = BarWindow(dual_bimodule(B), upto, "homology",
                                budget).dimensions()
-                # degree-0 cohomology of nu^k is H_{-1}(C(k - 1)); the
-                # reference recognises the dual of nu^k as some nu^j and
-                # reads degree-0 homology of nu^j from the structural
-                # window (tate_hh0)
+                # degree-0 cohomology of nu^k is H_{-1}(C(k - 1)); the dual
+                # of nu^k, certified as nu^(1 - k) or failing the row, gives
+                # degree-0 homology by the structural window (tate_hh0)
                 spliced = TateWindow(A, k - 1, -1, -1, budget,
                                      ResolutionWindow).homology_dim(-1)
                 j = recognize_nakayama_power(A, dual_bimodule(B), 1 - k)
@@ -444,6 +441,8 @@ def run_verify(suite, max_degree=3, budget=DEFAULT_BUDGET):
     """All checks of one named suite; resource errors become failed rows."""
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}")
+    if max_degree < 0:
+        raise ValueError(f"verify depth must be non-negative, got {max_degree}")
     try:
         return _SUITE_RUNNERS[suite](max_degree, budget)
     except BudgetExceeded as exc:

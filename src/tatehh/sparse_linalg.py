@@ -203,7 +203,8 @@ class SparseMatrix:
         """A basis of the right null space, as dict vectors {col: scalar}.
 
         Deterministic: one vector per free column in increasing column order,
-        with entry 1 at the free column.
+        with entry 1 at the free column.  Only the tests call it, and
+        bench/tracer.py binds the name; it can go with ROADMAP item 4.
         """
         field = self.field
         pivots = list(_eliminate(field, self._elimination_rows()))

@@ -28,8 +28,8 @@ reference that cross_validate's dumps, the verify duality suite and the
 tests read.  The published closed forms (closed_forms) route nothing: the
 verify suites and the tests compare the table with them.  The duality
 theorems are checked, not used: the verify duality suite compares degree-0
-cohomology with the linear dual recognised as a Nakayama twist
-(recognize_nakayama_power, below).  The paper's two-generator complex
+cohomology of nu^k and homology of nu^(1-k), certified as the dual of nu^k
+(bimodules_isomorphic, below).  The paper's two-generator complex
 (codim2_complex.DeltaComplex) checks the resolution's nu^-1 homology in the
 verify codim2 suite and the tests.  Degrees beyond the budget are marked
 unavailable with the reason instead of being guessed.
@@ -39,7 +39,7 @@ from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix_via_s, splice_dims
 from .qci_algebra import twisted_bimodule
 from .records import Record
-from .sparse_linalg import ChainComplexWindow, SparseMatrix
+from .sparse_linalg import ChainComplexWindow
 from .twisted_resolution import Census, ResolutionWindow
 
 # the terminal of each method policy
@@ -150,47 +150,32 @@ def nakayama_module(A, k):
                             label=coefficient_name(k))
 
 
-def twisted_centre(M, sigma):
-    """Basis of Z_sigma(M) = {z in M : x_w z = sigma_w z x_w for every w}."""
-    field = M.field
-    dim = M.dim
-    entries = {}
-    for w, (left, right) in enumerate(zip(M.left, M.right)):
-        for row, col, v in left.entries():
-            entries[(w * dim + row, col)] = v
-        for row, col, v in right.entries():
-            key = (w * dim + row, col)
-            entries[key] = field.sub(entries.get(key, field.zero),
-                                     field.mul(sigma[w], v))
-    return SparseMatrix.from_dict(field, len(M.left) * dim, dim,
-                                  entries).kernel_basis()
-
-
 def bimodules_isomorphic(M, sigma):
-    """Whether M is isomorphic to its algebra A, left action twisted by sigma.
-
-    Bimodule maps from the twist to M are a -> z.a with z in Z_sigma(M), a
-    c*dim x dim kernel.  A QCI is local Frobenius with socle k.x^top, so
-    a -> z.a is injective iff z.x^top != 0; that holds for some z iff for
-    some basis vector z.
+    """Whether the functional lambda dual to x^top certifies M isomorphic to
+    A_sigma (A, left action twisted by sigma): x_w.lambda = sigma_w lambda.x_w
+    for every w and lambda.x^top != 0.  Then a -> lambda.a is a bimodule map
+    A_sigma -> M; its kernel, an ideal of the local Frobenius QCI, misses the
+    socle k.x^top, so the map is injective, and bijective as dim M = dim A.
+    No lambda.x_w is 0, so only one sigma meets the first condition; for
+    M = D(nu^k) both hold at nu^(1-k) (Frobenius duality), so there the
+    certificate decides the isomorphism.  bench/tracer.py binds this name
+    and recognize_nakayama_power.
     """
-    A = M.algebra
+    A, field = M.algebra, M.field
     if M.dim != A.dim:
         return False
-    top = M.right_monomial(A.top_index)
-    return any(top.apply(z) for z in twisted_centre(M, sigma))
+    z = {A.top_index: field.one}
+    return all(left.apply(z) == {i: field.mul(s, v)
+                                 for i, v in right.apply(z).items()}
+               for s, left, right in zip(sigma, M.left, M.right)) \
+        and bool(M.right_monomial(A.top_index).apply(z))
 
 
-def recognize_nakayama_power(A, M, expected_first=0, span=3):
-    """The k with M isomorphic to the k-th Nakayama twist, else None."""
+def recognize_nakayama_power(A, M, j):
+    """j if bimodules_isomorphic certifies M as nu^j over A, else None."""
     if M.algebra is not A and M.algebra.describe() != A.describe():
         return None
-    candidates = [expected_first]
-    candidates.extend(j for j in range(-span, span + 1) if j != expected_first)
-    for j in candidates:
-        if bimodules_isomorphic(M, A.nakayama(j)):
-            return j
-    return None
+    return j if bimodules_isomorphic(M, A.nakayama(j)) else None
 
 
 class TateWindow(ChainComplexWindow):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tatehh import tate_engine
+from tatehh import cli_reports, tate_engine
 from tatehh.cli_reports import (
     _duality_family,
     EXIT_BUDGET,
@@ -31,7 +31,7 @@ from tatehh.cli_reports import (
 )
 from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import d0_matrix_via_s
-from tatehh.tate_engine import TableEntry
+from tatehh.tate_engine import TableEntry, recognize_nakayama_power
 
 from oracles import is_commutative, is_exterior, twist_compose
 
@@ -289,6 +289,20 @@ class TestDimsCommand:
         assert main(["dims", "--spec", str(bad), "--min", "0",
                      "--max", "1"]) == EXIT_USAGE
 
+    def test_coefficient_power_is_ascii_digits(self, codim2_path, capsys):
+        # int() alone reads "nu:1_0" as nu^10 and "nu: 1", "nu:\u0661" as nu^1
+        for coeff in ("nu:1_0", "nu: 1", "nu:1 ", "nu:\u0661", "nu:", "nu:+"):
+            for argv in (["dims", "--min", "0", "--max", "0"],
+                         ["oracle", "--max", "0"]):
+                assert main(argv + ["--spec", codim2_path,
+                                    "--coeff", coeff]) == EXIT_USAGE
+                assert "coefficient must be 'regular' or 'nu:K'" in \
+                    capsys.readouterr().err
+        for coeff in ("nu:+1", "nu:-1", "nu:10"):
+            assert main(["dims", "--spec", codim2_path, "--min", "0", "--max",
+                         "0", "--coeff", coeff]) == EXIT_OK
+        capsys.readouterr()
+
     def test_twisted_coefficient(self, codim2_path, capsys):
         assert main(["dims", "--spec", codim2_path, "--min", "1", "--max",
                      "2", "--coeff", "nu:-1"]) == EXIT_OK
@@ -402,6 +416,17 @@ class TestVerify:
                          "--budget", budget]) == EXIT_USAGE
             assert "budget must be positive" in capsys.readouterr().err
 
+    def test_cli_negative_depth_is_one_usage_error(self, capsys):
+        for suite in SUITES:
+            assert main(["verify", "--suite", suite, "--max", "-1"]) == \
+                EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: verify depth must be non-negative, got -1\n"
+        assert main(["verify", "--suite", "exactness", "--max", "0"]) == \
+            EXIT_OK
+        capsys.readouterr()
+
     def test_duality_suite_checks_the_recognised_dual(self):
         rows = [row for row in run_verify("duality", 1)
                 if "degree 0 cohomology spliced complex vs recognised dual"
@@ -419,6 +444,16 @@ class TestVerify:
         rows = run_verify("duality", 1)
         assert any(not row["pass"] for row in rows
                    if "spliced" in row["check"])
+
+    def test_dual_certified_at_the_wrong_twist_fails_a_duality_row(
+            self, monkeypatch):
+        # nu^-k in place of nu^(1-k) as the twist the dual of nu^k is
+        monkeypatch.setattr(
+            cli_reports, "recognize_nakayama_power",
+            lambda A, M, j: recognize_nakayama_power(A, M, j - 1))
+        rows = run_verify("duality", 1)
+        assert any(not row["pass"] for row in rows
+                   if "recognised dual" in row["check"])
 
     def test_mismatch_exit_code_contract(self):
         # a fabricated failing row drives the exit logic, not real math

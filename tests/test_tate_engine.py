@@ -1,5 +1,5 @@
-"""Tests for the routing engine, its spliced Tate window, and the dual
-recognition that the verify duality suite checks the window against."""
+"""Tests for the routing engine, its spliced Tate window, and the certificate
+of the linear dual that the verify duality suite checks the window against."""
 
 import json
 from fractions import Fraction
@@ -16,7 +16,7 @@ from tatehh import (
     exterior_algebra,
     truncated_polynomial_algebra,
 )
-from tatehh.cli_reports import EXIT_BUDGET, main
+from tatehh.cli_reports import EXIT_BUDGET, _duality_family, main
 from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
 from tatehh.qci_algebra import QciAlgebra
 from tatehh.tate_engine import (
@@ -27,11 +27,10 @@ from tatehh.tate_engine import (
     nakayama_module,
     recognize_nakayama_power,
     tate_dims,
-    twisted_centre,
 )
 
-from oracles import closed_form_dim, cols_to_rows, columns, dense_rank, \
-    intertwiner_space_dim, mat_apply, mat_mul
+from oracles import center_dim, closed_form_dim, cols_to_rows, columns, \
+    dense_rank, intertwiner_space_dim, mat_apply, mat_mul
 
 TERMINALS = ("resolution", "oracle")
 
@@ -190,25 +189,32 @@ class TestRecognition:
         for A in (codim2_q2(), exterior_algebra(PrimeField(3), 2),
                   truncated_polynomial_algebra(QQ, (2, 2))):
             dual = dual_bimodule(nakayama_module(A, 0))
-            assert recognize_nakayama_power(A, dual, expected_first=1) == 1
+            assert recognize_nakayama_power(A, dual, 1) == 1
 
     def test_dual_of_twist_shifts_exponent(self):
         A = codim2_q2()
         for k in (1, 2, -1):
             dual = dual_bimodule(nakayama_module(A, k))
-            assert recognize_nakayama_power(A, dual,
-                                            expected_first=1 - k) == 1 - k
+            assert recognize_nakayama_power(A, dual, 1 - k) == 1 - k
+            assert recognize_nakayama_power(A, dual, -k) is None
 
     def test_isomorphism_respects_twist_order(self):
+        # D(nu^0) is nu^1: certified against nu^-1 only where nu^2 = 1
         E = exterior_algebra(PrimeField(3), 2)  # nu^2 = identity
-        assert bimodules_isomorphic(nakayama_module(E, 1), E.nakayama(-1))
+        assert bimodules_isomorphic(dual_bimodule(nakayama_module(E, 0)),
+                                    E.nakayama(-1))
         A = codim2_q2()
-        assert not bimodules_isomorphic(nakayama_module(A, 1), A.nakayama(0))
+        assert not bimodules_isomorphic(dual_bimodule(nakayama_module(A, 0)),
+                                        A.nakayama(-1))
+        assert not bimodules_isomorphic(dual_bimodule(nakayama_module(A, 2)),
+                                        A.nakayama(1))
 
     def test_foreign_module_not_recognized(self):
         A = codim2_q2()
         other = truncated_polynomial_algebra(QQ, (2, 2))
-        assert recognize_nakayama_power(A, nakayama_module(other, 0)) is None
+        dual = dual_bimodule(nakayama_module(other, 0))
+        assert recognize_nakayama_power(other, dual, 1) == 1
+        assert recognize_nakayama_power(A, dual, 1) is None
 
     def test_dual_of_nu_squared_matches_inverse_twist_homology(self):
         A = codim2_q2()
@@ -248,6 +254,8 @@ RECOGNITION_ALGEBRAS = [codim2_q2(), exterior_algebra(PrimeField(3), 2),
 
 
 class TestTwistedCentre:
+    """The socle functional lambda in the twisted centre of D(nu^k)."""
+
     @pytest.mark.parametrize("A", RECOGNITION_ALGEBRAS, ids=[
         f"{i}-{A.field!r}-{'x'.join(map(str, A.exponents))}"
         for i, A in enumerate(RECOGNITION_ALGEBRAS)])
@@ -256,27 +264,32 @@ class TestTwistedCentre:
         for k in range(-2, 3):
             M = dual_bimodule(nakayama_module(A, k))
             for j in range(-2, 3):
-                N = nakayama_module(A, j)
-                centre = twisted_centre(M, A.nakayama(j))
-                assert len(centre) == intertwiner_space_dim(field, N, M)
-                # every z gives the bimodule map a -> z.a from N to M
-                maps = [[mat_apply(field, columns(M.right_monomial(a)), z)
-                         for a in range(A.dim)] for z in centre]
-                for phi in maps:
-                    for act_n, act_m in zip(N.left + N.right,
-                                            M.left + M.right):
-                        assert mat_mul(field, phi, columns(act_n)) == \
-                            mat_mul(field, columns(act_m), phi)
-                full = [phi for phi in maps
-                        if dense_rank(field, cols_to_rows(field, A.dim, phi))
-                        == A.dim]
-                iso = bimodules_isomorphic(M, A.nakayama(j))
-                assert iso == bool(full)
-                assert iso == (A.nakayama(j) == A.nakayama(1 - k))
-            assert recognize_nakayama_power(A, M, expected_first=1 - k) \
-                == 1 - k
-            assert A.nakayama(recognize_nakayama_power(A, M)) == \
-                A.nakayama(1 - k)
+                assert bimodules_isomorphic(M, A.nakayama(j)) == \
+                    (A.nakayama(j) == A.nakayama(1 - k))
+            # the certified map a -> lambda.a from nu^(1-k) to D(nu^k),
+            # lambda dual to x^top, by the oracle's column arithmetic
+            N = nakayama_module(A, 1 - k)
+            lam = {A.top_index: field.one}
+            phi = [mat_apply(field, columns(M.right_monomial(a)), lam)
+                   for a in range(A.dim)]
+            for act_n, act_m in zip(N.left + N.right, M.left + M.right):
+                assert mat_mul(field, phi, columns(act_n)) == \
+                    mat_mul(field, columns(act_m), phi)
+            assert dense_rank(field, cols_to_rows(field, A.dim, phi)) == A.dim
+            # N and M are isomorphic, so the maps N -> M (the twisted centre
+            # of M) have the dimension of End(N), the centre of A
+            assert intertwiner_space_dim(field, N, M) == center_dim(A)
+
+    def test_certificate_rejects_the_untranslated_twist(self):
+        # the verify duality row with -k in place of 1 - k must fail
+        cases = 0
+        for A in [A for _, A in _duality_family()] + RECOGNITION_ALGEBRAS:
+            for k in range(-2, 3):
+                if A.nakayama(-k) != A.nakayama(1 - k):
+                    M = dual_bimodule(nakayama_module(A, k))
+                    assert not bimodules_isomorphic(M, A.nakayama(-k))
+                    cases += 1
+        assert cases
 
 
 class TestDualityProperties:
