@@ -40,7 +40,6 @@ from .qci_algebra import QciAlgebra, codim2_algebra, dual_bimodule, \
 from .tate_engine import CSV_HEADER, TableEntry, TateRequest, TateWindow, \
     coefficient_name, entries_csv, entries_json_dict, nakayama_module, \
     recognize_nakayama_power, tate_dims
-from .twisted_resolution import ResolutionWindow
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -391,7 +390,7 @@ def _suite_duality(max_degree, budget):
                 # of nu^k, certified as nu^(1 - k) or failing the row, gives
                 # degree-0 homology by the structural window (tate_hh0)
                 spliced = TateWindow(A, k - 1, -1, -1, budget,
-                                     ResolutionWindow).homology_dim(-1)
+                                     "resolution").homology_dim(-1)
                 j = recognize_nakayama_power(A, dual_bimodule(B), 1 - k)
                 name = f"duality {label} coeff {coefficient_name(k)}"
                 return [

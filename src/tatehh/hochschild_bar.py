@@ -16,13 +16,10 @@ and the coboundary of f takes lambda_1 ... lambda_{n+1} to
 
 Space sizes grow as (dim B) (dim A)^n, so requests carry an element budget;
 exceeding it raises BudgetExceeded naming the first unaffordable degree.
-
-HochschildWindow is the window builder shared with twisted_resolution: the
-budget check and the degree layout live there, and each complex supplies
-only its chain-space sizes and its differential.
 """
 
-from .records import Record
+from collections import namedtuple
+
 from .sparse_linalg import ChainComplexWindow, SparseMatrix
 
 DEFAULT_BUDGET = 5_000_000
@@ -39,79 +36,28 @@ class BudgetExceeded(Exception):
             f"degree {degree} needs {needed} basis elements, budget is {budget}")
 
 
-class BarWindowRequest(Record):
+class BarWindowRequest(namedtuple(
+        "BarWindowRequest", ("coefficients", "n_max", "direction", "budget"),
+        defaults=(DEFAULT_BUDGET,))):
     """A finite window of Hochschild dimensions to compute.
 
     direction is "homology" or "cohomology"; the budget caps the dimension
     (dim B) * (dim A)^(n+1) of the largest chain space a degree-n value needs.
     """
 
-    __slots__ = ("coefficients", "n_max", "direction", "budget")
+    __slots__ = ()
 
-    def __init__(self, coefficients, n_max, direction,
-                 budget=DEFAULT_BUDGET):
-        self._assign(coefficients, n_max, direction, budget)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
         if self.direction not in ("homology", "cohomology"):
             raise ValueError(f"unknown direction {self.direction!r}")
+        return self
 
     @property
     def algebra(self):
         return self.coefficients.algebra
-
-
-class HochschildWindow:
-    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from one complex.
-
-    A subclass supplies ``space_dim(A, dim_b, n)``, the size of degree n of
-    its (co)chain space, and hands ``_build`` A, dim B and the map of degree
-    n as a function of n: the boundary from degree n to n - 1 in homology
-    (n >= 1), the coboundary from degree n to n + 1 in cohomology (n >= 0).
-    Degree n reads the space of degree n + 1, so the budget caps those sizes
-    up to n_max + 1.  Cohomology is stored relabelled into homological
-    convention: cochain degree n sits at chain degree (n_max + 1) - n of
-    ``window``, so the composition-zero check of ChainComplexWindow applies
-    verbatim and every degree 0..n_max is interior.
-    """
-
-    def _build(self, A, dim_b, n_max, variant, budget, d):
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if variant not in ("homology", "cohomology"):
-            raise ValueError(f"unknown variant {variant!r}")
-        self.n_max = n_max
-        self.variant = variant
-        sizes = [self.space_dim(A, dim_b, n) for n in range(n_max + 2)]
-        for n in range(n_max + 1):
-            if sizes[n + 1] > budget:
-                raise BudgetExceeded(n, sizes[n + 1], budget)
-        spaces = {self.position(n): size for n, size in enumerate(sizes)}
-        spaces[self.position(-1)] = 0
-        if variant == "homology":
-            maps = {n: d(n) for n in range(1, n_max + 2)}
-            maps[0] = SparseMatrix(A.field, 0, sizes[0])
-        else:
-            maps = {self.position(n): d(n) for n in range(n_max + 1)}
-            maps[self.position(-1)] = SparseMatrix(A.field, sizes[0], 0)
-        self.window = ChainComplexWindow(sorted(spaces, reverse=True),
-                                         spaces, maps)
-
-    def position(self, n):
-        """The chain degree of ``window`` holding degree n."""
-        return n if self.variant == "homology" else self.n_max + 1 - n
-
-    def dimension(self, n):
-        """dim HH_n (homology) or HH^n (cohomology), 0 <= n <= n_max."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"degree {n} outside window [0, {self.n_max}]")
-        return self.window.homology_dim(self.position(n))
-
-    def dimensions(self):
-        """[dimension(n) for n = 0..n_max]."""
-        return [self.dimension(n) for n in range(self.n_max + 1)]
 
 
 def _tuple_index_decode(idx, dim_a, n):
@@ -238,13 +184,42 @@ def coboundary_matrix(B, n):
                                   dim_b * dim_a ** n, entries)
 
 
-class BarWindow(HochschildWindow):
-    """The bar complexes, (dim B)(dim A)^n coordinates in degree n."""
+class BarWindow(ChainComplexWindow):
+    """HH_n(A, B) or HH^n(A, B) for n = 0..n_max from the bar complexes,
+    (dim B)(dim A)^n coordinates in degree n.
+
+    Degree n reads the space of degree n + 1, so the budget caps those sizes
+    up to n_max + 1.  Homology degree n sits at chain degree n and
+    cohomology degree n at chain degree -n - 1, as in the spliced complex
+    (tate_engine.TateWindow): every coboundary is then a map of chain
+    degree -1, the composition-zero check of ChainComplexWindow applies
+    verbatim, and a zero space below degree 0 makes every degree 0..n_max
+    interior.
+    """
 
     def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
-        self.B = B
-        self._build(B.algebra, B.dim, n_max, variant, budget,
-                    self.differentials(B, variant))
+        if budget < 1:
+            raise ValueError("budget must be positive")
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        if variant not in ("homology", "cohomology"):
+            raise ValueError(f"unknown variant {variant!r}")
+        self.n_max, self.variant = n_max, variant
+        A = B.algebra
+        sizes = [self.space_dim(A, B.dim, n) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            if sizes[n + 1] > budget:
+                raise BudgetExceeded(n, sizes[n + 1], budget)
+        d = self.differentials(B, variant)
+        if variant == "homology":
+            spaces = {-1: 0, **dict(enumerate(sizes))}
+            maps = {n: d(n) for n in range(1, n_max + 2)}
+            maps[0] = SparseMatrix(A.field, 0, sizes[0])
+        else:
+            spaces = {0: 0, **{-n - 1: size for n, size in enumerate(sizes)}}
+            maps = {-n - 1: d(n) for n in range(n_max + 1)}
+            maps[0] = SparseMatrix(A.field, sizes[0], 0)
+        super().__init__(sorted(spaces, reverse=True), spaces, maps)
 
     @staticmethod
     def space_dim(A, dim_b, n):
@@ -255,6 +230,16 @@ class BarWindow(HochschildWindow):
         if variant == "homology":
             return lambda n: boundary_matrix(B, n)
         return lambda n: coboundary_matrix(B, n)
+
+    def dimension(self, n):
+        """dim HH_n (homology) or HH^n (cohomology), 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"degree {n} outside window [0, {self.n_max}]")
+        return self.homology_dim(n if self.variant == "homology" else -n - 1)
+
+    def dimensions(self):
+        """[dimension(n) for n = 0..n_max]."""
+        return [self.dimension(n) for n in range(self.n_max + 1)]
 
 
 def hh_homology_dims(req):

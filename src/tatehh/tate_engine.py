@@ -23,30 +23,29 @@ the table's method column:
   bar_only  oracle: one spliced window (TateWindow) of the bar resolution
             (hochschild_bar), an independent check (cross_validate).
 
-TateWindow over the whole requested range, on either resolution, stays the
-reference that cross_validate's dumps, the verify duality suite and the
-tests read.  The published closed forms (closed_forms) route nothing: the
-verify suites and the tests compare the table with them.  The duality
-theorems are checked, not used: the verify duality suite compares degree-0
-cohomology of nu^k and homology of nu^(1-k), certified as the dual of nu^k
-(bimodules_isomorphic, below).  The paper's two-generator complex
-(codim2_complex.DeltaComplex) checks the resolution's nu^-1 homology in the
-verify codim2 suite and the tests.  Degrees beyond the budget are marked
-unavailable with the reason instead of being guessed.
+TateWindow over the whole requested range, on the resolution that the
+method column names, stays the reference that cross_validate's dumps, the
+verify duality suite and the tests read.  The published closed forms
+(closed_forms) route nothing: the verify suites and the tests compare the
+table with them.  The duality theorems are checked, not used: the verify
+duality suite compares degree-0 cohomology of nu^k and homology of
+nu^(1-k), certified as the dual of nu^k (bimodules_isomorphic, below).
+The paper's two-generator complex (codim2_complex.DeltaComplex) checks the
+resolution's nu^-1 homology in the verify codim2 suite and the tests.
+Degrees beyond the budget are marked unavailable with the reason instead
+of being guessed.
 """
+
+from collections import namedtuple
 
 from .hochschild_bar import DEFAULT_BUDGET, BarWindow, BudgetExceeded
 from .near_zero import d0_matrix_via_s, splice_dims
 from .qci_algebra import twisted_bimodule
-from .records import Record
 from .sparse_linalg import ChainComplexWindow
-from .twisted_resolution import Census, ResolutionWindow
+from .twisted_resolution import Assembly, Census, chain_space_dim
 
 # the terminal of each method policy
 _POLICIES = {"auto": "resolution", "bar_only": "oracle"}
-
-# the terminals and the complexes their spliced windows read
-_WINDOWS = {"resolution": ResolutionWindow, "oracle": BarWindow}
 
 VARIANTS = ("homology", "cohomology")
 
@@ -55,16 +54,20 @@ def coefficient_name(k):
     return "regular" if k == 0 else f"nu^{k}"
 
 
-class TateRequest(Record):
+class TateRequest(namedtuple(
+        "TateRequest", ("algebra", "n_min", "n_max", "variant",
+                        "nakayama_power", "method", "budget"),
+        defaults=("homology", 0, "auto", DEFAULT_BUDGET))):
     """A rectangular slice of the stable (co)homology table."""
 
-    __slots__ = ("algebra", "n_min", "n_max", "variant", "nakayama_power",
-                 "method", "budget")
+    __slots__ = ()
 
-    def __init__(self, algebra, n_min, n_max, variant="homology",
-                 nakayama_power=0, method="auto", budget=DEFAULT_BUDGET):
-        self._assign(algebra, n_min, n_max, variant, nakayama_power, method,
-                     budget)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("n_min", "n_max", "nakayama_power", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n_min > self.n_max:
             raise ValueError("empty degree window")
         if self.variant not in VARIANTS:
@@ -73,18 +76,18 @@ class TateRequest(Record):
             raise ValueError(f"unknown method policy {self.method!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        return self
 
     @property
     def degrees(self):
         return range(self.n_min, self.n_max + 1)
 
 
-class TableEntry(Record):
-    __slots__ = ("degree", "dimension", "method", "source")
-
-    def __init__(self, degree, dimension, method, source=""):
-        # dimension: int, or None when unavailable
-        self._assign(degree, dimension, method, source)
+class TableEntry(namedtuple("TableEntry",
+                             ("degree", "dimension", "method", "source"),
+                             defaults=("",))):
+    # dimension: int, or None when unavailable
+    __slots__ = ()
 
 
 class DimensionTable:
@@ -182,30 +185,32 @@ class TateWindow(ChainComplexWindow):
     """The spliced complex C(j) on the degrees lo - 1 .. hi + 1: the bar
     route's every degree, and the reference for the resolution route.
 
-    ``kind`` (ResolutionWindow or BarWindow) supplies the space sizes and
-    the differentials of B_j (x) P and of Hom(P, B_{j+1}), read from A's
-    characters (_Assembly) or from B_j built by nakayama_module; the norm
-    map is near_zero.d0_matrix_via_s, which splice_dims does not read.
+    ``terminal``, a route name of the table's method column, picks the
+    resolution P of B_j (x) P and Hom(P, B_{j+1}): "resolution" reads
+    their differentials from A's characters (Assembly), "oracle" those of
+    the bar complexes from B_j and B_{j+1} built by nakayama_module; any
+    other name raises ValueError.  The norm map is
+    near_zero.d0_matrix_via_s, which splice_dims does not read.
     ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
     Composition-zero is checked at construction, across the splice too.
     """
 
-    def __init__(self, A, j, lo, hi, budget, kind):
+    def __init__(self, A, j, lo, hi, budget, terminal):
         for n in range(lo, hi + 1):
-            needed = self.need(kind, A, n)
+            needed = self.need(terminal, A, n)
             if needed > budget:
                 raise BudgetExceeded(n, needed, budget)
-        self.A, self.j, self.kind, self._halves = A, j, kind, {}
+        self.A, self.j, self.terminal, self._halves = A, j, terminal, {}
         degrees = range(hi + 1, lo - 2, -1)
-        spaces = {n: kind.space_dim(A, A.dim, n if n >= 0 else -n - 1)
+        spaces = {n: _space_dim(terminal, A, n if n >= 0 else -n - 1)
                   for n in degrees}
         super().__init__(degrees, spaces,
                          {n: self._map(n) for n in degrees[:-1]})
 
     @staticmethod
-    def need(kind, A, n):
+    def need(terminal, A, n):
         """The largest space degree n reads: C_{n+1} (n >= 0) or C_{n-1}."""
-        return kind.space_dim(A, A.dim, (n if n >= 0 else -n - 1) + 1)
+        return _space_dim(terminal, A, (n if n >= 0 else -n - 1) + 1)
 
     def _map(self, n):
         """The map C_n -> C_{n-1}."""
@@ -217,11 +222,19 @@ class TateWindow(ChainComplexWindow):
 
     def _half(self, j, variant):
         if variant not in self._halves:
-            self._halves[variant] = \
-                ResolutionWindow.differentials(self.A, j, variant) \
-                if self.kind is ResolutionWindow else \
+            self._halves[variant] = Assembly(self.A, j, variant) \
+                if self.terminal == "resolution" else \
                 BarWindow.differentials(nakayama_module(self.A, j), variant)
         return self._halves[variant]
+
+
+def _space_dim(terminal, A, n):
+    """The size of degree n of either half of the terminal's resolution."""
+    if terminal == "resolution":
+        return chain_space_dim(A.c, A.dim, n)
+    if terminal == "oracle":
+        return BarWindow.space_dim(A, A.dim, n)
+    raise ValueError(f"unknown route {terminal!r}")
 
 
 class _Session:
@@ -250,7 +263,7 @@ class _Session:
         req, terminal = self.req, self.terminal
         entries, served = [], []
         for n in req.degrees:
-            needed = TateWindow.need(_WINDOWS[terminal], req.algebra,
+            needed = TateWindow.need(terminal, req.algebra,
                                      self.chain_degree(n))
             if needed <= req.budget:
                 served.append(n)
@@ -263,7 +276,7 @@ class _Session:
                 dims = self._census(chain)
             else:
                 window = TateWindow(req.algebra, self.twist(), min(chain),
-                                    max(chain), req.budget, _WINDOWS[terminal])
+                                    max(chain), req.budget, terminal)
                 dims = {t: window.homology_dim(t) for t in chain}
             entries.extend(TableEntry(n, dims[t], terminal)
                            for n, t in zip(served, chain))
@@ -298,7 +311,8 @@ def cross_validate(req, dump_dir=None):
     dumped from a reference window of each terminal that serves it,
     under dump_dir (when given), and the paths are listed.
     """
-    sessions = {name: _Session(req, terminal=name) for name in _WINDOWS}
+    sessions = {name: _Session(req, terminal=name)
+                for name in _POLICIES.values()}
     tables = {name: session.run() for name, session in sessions.items()}
     report = []
     for n in req.degrees:
@@ -309,7 +323,7 @@ def cross_validate(req, dump_dir=None):
         if not row["agree"] and dump_dir is not None:
             row["dumps"] = _dump_disagreement(
                 sessions["resolution"], n,
-                [name for name in _WINDOWS if name in values], dump_dir)
+                [name for name in sessions if name in values], dump_dir)
         report.append(row)
     return {"degrees": report, "all_agree": all(r["agree"] for r in report)}
 
@@ -324,8 +338,7 @@ def _dump_disagreement(session, degree, names, dump_dir):
     req, t = session.req, session.chain_degree(degree)
     paths = []
     for name in names:
-        win = TateWindow(req.algebra, session.twist(), t, t, req.budget,
-                         _WINDOWS[name])
+        win = TateWindow(req.algebra, session.twist(), t, t, req.budget, name)
         for deg in (t, t + 1):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")

@@ -20,9 +20,10 @@ v-th factor, e' = e_{i - e_w} and s = (-1)^{i_1 + ... + i_{w-1}},
                                                             (i_w even).
 
 A term x_w^j e' x_w^k acts on a B summand as b -> x_w^k b x_w^j in homology
-and f -> x_w^j f x_w^k in cohomology.  Windows are ChainComplexWindows, so
-composition-zero is re-checked at construction; the tests pin the scalars
-to the bar complex, DeltaComplex and an unmemoised copy of this formula.
+and f -> x_w^j f x_w^k in cohomology.  The spliced reference window
+(tate_engine.TateWindow) re-checks composition-zero at construction; the
+tests pin the scalars to the bar complex, DeltaComplex and an unmemoised
+copy of this formula.
 
 Coefficients are B = nu^j: A with x_w . b = nu_w^j x_w b, nu_w =
 prod_i q_iw^(a_i - 1).  With the characters x_w x^e = L_w(e) x^(e + e_w)
@@ -32,16 +33,16 @@ sandwich b -> x_w^k b x_w^l is a weighted shift (``sandwiches``):
     x^e -> nu_w^(jk) R_w(e) ... R_w(e + (l-1) e_w)
            L_w(e + l e_w) ... L_w(e + (k+l-1) e_w) x^(e + (k+l) e_w).
 
-So no Bimodule is built: _Assembly, ResolutionWindow and Census take
-(A, j).  What a Bimodule checks of its actions (left actions q-commute,
-right ones too, the sides commute) QciAlgebra.check_characters checks of
-L and R, once per algebra: nu_w^j scales both sides of each relation
-alike, so the check holds for every j.
+So no Bimodule is built: Assembly and Census take (A, j).  What a
+Bimodule checks of its actions (left actions q-commute, right ones too, the
+sides commute) QciAlgebra.check_characters checks of L and R, once per
+algebra: nu_w^j scales both sides of each relation alike, so the check
+holds for every j.
 
 The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
 so its key (block_key) is w with i, i_w taken mod 2, under which an
-_Assembly keeps its blocks and Census its edge records.  A block is integer
+Assembly keeps its blocks and Census its edge records.  A block is integer
 entries over one denominator in lowest terms (residues over GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
@@ -95,7 +96,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .hochschild_bar import DEFAULT_BUDGET, HochschildWindow
 from .sparse_linalg import SparseMatrix
 
 
@@ -193,7 +193,7 @@ def _block(A, sandwiches, i, w, variant):
                       if v]
 
 
-class _Assembly:
+class Assembly:
     """The maps of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j.
 
     Every degree shares one table each of summand blocks, under
@@ -249,24 +249,6 @@ class _Assembly:
                 for row, col, v in entries))
 
 
-class ResolutionWindow(HochschildWindow):
-    """HH_n(A, nu^j) or HH^n(A, nu^j) for n = 0..n_max from the
-    resolution."""
-
-    def __init__(self, A, j, n_max, variant="homology",
-                 budget=DEFAULT_BUDGET):
-        self._build(A, A.dim, n_max, variant, budget,
-                    self.differentials(A, j, variant))
-
-    @staticmethod
-    def space_dim(A, dim_b, n):
-        return chain_space_dim(A.c, dim_b, n)
-
-    @staticmethod
-    def differentials(A, j, variant):
-        return _Assembly(A, j, variant)
-
-
 class Census:
     """dim H_n of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j,
     for each n in ``degrees`` (n >= 1), by counting label cubes (module
@@ -274,7 +256,7 @@ class Census:
 
     Construction checks A's characters (once per algebra), evaluates every
     summand block of the maps out of and into degree n once per block key
-    (``_Assembly.evaluate``) and checks that each entry joins the monomials
+    (``Assembly.evaluate``) and checks that each entry joins the monomials
     its multidegree allows; then it checks every label square with its
     upper vertex in degree n + 1: the square anticommutes (d o d = 0 there)
     and its opposite edges agree in being zero.  A failure raises
@@ -282,7 +264,7 @@ class Census:
     """
 
     def __init__(self, A, j, variant, degrees):
-        self.assembly = _Assembly(A, j, variant)
+        self.assembly = Assembly(A, j, variant)
         self.variant, self.c, self.p = variant, A.c, A.field.characteristic
         self.full = (1 << A.dim) - 1
         sign = 1 if variant == "homology" else -1

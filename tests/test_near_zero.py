@@ -11,7 +11,7 @@ from tatehh import near_zero
 from tatehh.cli_reports import _duality_family
 from tatehh.closed_forms import ci_dim, exterior_dim, lower_bound
 from tatehh.exact_field import QQ, PrimeField, scalar_pow
-from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindow
+from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import (
     build_s,
     check_exactness_claim,
@@ -35,7 +35,6 @@ from tatehh.qci_algebra import (
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     tate_dims
-from tatehh.twisted_resolution import ResolutionWindow
 
 from oracles import multiply, oracle_multiply
 
@@ -313,7 +312,7 @@ def structural_splice_window(A, j):
 def test_property_splice_dims_match_windows(A, j):
     """The counted splice degrees 0 and -1 of C(j) equal the homology of
     the window of the structural maps and of the reference TateWindow."""
-    reference = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, ResolutionWindow)
+    reference = TateWindow(A, j, -1, 0, DEFAULT_BUDGET, "resolution")
     for window in (structural_splice_window(A, j), reference):
         assert {n: window.homology_dim(n) for n in (0, -1)} == \
             splice_dims(A, j)
@@ -360,8 +359,8 @@ def test_norm_scalar_of_the_next_twist_fails_cross_validation(monkeypatch):
 
     def references():
         return [(tate_hh0(A, A.nakayama(j)),
-                 [TateWindow(A, j, 0, 0, DEFAULT_BUDGET, kind).maps[0]
-                  for kind in (ResolutionWindow, BarWindow)])
+                 [TateWindow(A, j, 0, 0, DEFAULT_BUDGET, terminal).maps[0]
+                  for terminal in ("resolution", "oracle")])
                 for _, A in family for j in (-1, 0, 1)]
 
     assert disagreements() == []

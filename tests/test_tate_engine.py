@@ -2,6 +2,7 @@
 of the linear dual that the verify duality suite checks the window against."""
 
 import json
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -17,10 +18,13 @@ from tatehh import (
     truncated_polynomial_algebra,
 )
 from tatehh.cli_reports import EXIT_BUDGET, _duality_family, main
-from tatehh.hochschild_bar import BarWindowRequest, hh_homology_dims
+from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindowRequest, \
+    hh_homology_dims
 from tatehh.qci_algebra import QciAlgebra
 from tatehh.tate_engine import (
+    TableEntry,
     TateRequest,
+    TateWindow,
     bimodules_isomorphic,
     coefficient_name,
     cross_validate,
@@ -54,6 +58,36 @@ class TestRequestValidation:
                 TateRequest(A, 0, 1, "homology", method=retired)
         with pytest.raises(ValueError, match="budget"):
             TateRequest(A, 0, 1, budget=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("nakayama_power", True), ("nakayama_power", 1.0), ("n_min", 0.0),
+        ("n_max", True), ("n_max", Fraction(1)), ("budget", 100.0)])
+    def test_rejects_non_integer_fields(self, name, value):
+        """A bool or a float key would be served as nu^True or nu^1.0, or
+        fail inside range; each integer field takes an int only."""
+        fields = {"n_min": 0, "n_max": 1, "nakayama_power": 0, "budget": 100}
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            TateRequest(codim2_q2(), **fields)
+
+    def test_records_are_values(self):
+        entry = TableEntry(2, None, "unavailable")
+        assert pickle.loads(pickle.dumps(entry)) == entry
+        assert repr(entry) == "TableEntry(degree=2, dimension=None, " \
+            "method='unavailable', source='')"
+        with pytest.raises(AttributeError):
+            TateRequest(codim2_q2(), -1, 1).budget = 1
+
+
+def test_tate_window_takes_route_names():
+    """The spliced window is keyed by the method column's route names."""
+    A = codim2_q2()
+    windows = [TateWindow(A, 0, 0, 0, DEFAULT_BUDGET, terminal)
+               for terminal in TERMINALS]
+    assert [w.homology_dim(0) for w in windows] == \
+        [tate_dims(TateRequest(A, 0, 0)).dimension(0)] * 2
+    with pytest.raises(ValueError, match="unknown route 'bar'"):
+        TateWindow(A, 0, 0, 0, DEFAULT_BUDGET, "bar")
 
 
 class TestPublishedTables:

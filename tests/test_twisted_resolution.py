@@ -17,8 +17,8 @@ from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
-from tatehh.twisted_resolution import Census, ResolutionWindow, \
-    chain_space_dim, generators
+from tatehh.twisted_resolution import Assembly, Census, chain_space_dim, \
+    generators
 
 from oracles import _column_power, columns, edge_lemma_scalar, mat_mul, \
     resolution_map
@@ -50,16 +50,17 @@ def qcis(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(qcis(), st.integers(-2, 2))
 def test_property_matches_bar_oracle(A, k):
+    """Classical dimensions from degree 0, dim C_n - rank out - rank in on
+    the resolution's maps, agree with the bar complexes."""
     B = nakayama_module(A, k)
     top = 3 if A.dim <= 6 else 2
-    homology = ResolutionWindow(A, k, top, "homology")
-    cohomology = ResolutionWindow(A, k, top, "cohomology")
-    bar_homology = BarWindow(B, top, "homology")
-    bar_cohomology = BarWindow(B, top, "cohomology")
-    assert [homology.dimension(n) for n in range(top + 1)] == \
-        [bar_homology.dimension(n) for n in range(top + 1)]
-    assert [cohomology.dimension(n) for n in range(top + 1)] == \
-        [bar_cohomology.dimension(n) for n in range(top + 1)]
+    # the maps from degree n to n - step (first <= n <= top + first)
+    for variant, first, step in (("homology", 1, 1), ("cohomology", 0, -1)):
+        d = Assembly(A, k, variant)
+        rank = {n: d(n).rank() for n in range(first, top + first + 1)}
+        assert [chain_space_dim(A.c, A.dim, n) - rank.get(n, 0)
+                - rank.get(n + step, 0) for n in range(top + 1)] == \
+            BarWindow(B, top, variant).dimensions(), variant
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -68,8 +69,8 @@ def test_property_literal_splice_maps_match_resolution(A, j):
     """The d1 terms of nu^j, negated, are the resolution's own boundary of
     degree 1, and the d1 terms of nu^(j+1), column block w made row block
     w, are its coboundary of degree 0."""
-    homology = ResolutionWindow.differentials(A, j, "homology")
-    cohomology = ResolutionWindow.differentials(A, j + 1, "cohomology")
+    homology = Assembly(A, j, "homology")
+    cohomology = Assembly(A, j + 1, "cohomology")
     assert SparseMatrix(A.field, A.dim, A.dim * A.c, (
         (target, idx + A.dim * w, A.scalar(-num, den))
         for w, idx, target, num, den in d1_terms(A, A.nakayama(j)))) == \
@@ -123,7 +124,7 @@ def test_entry_across_multidegrees_fails_window_construction(monkeypatch,
     A = codim2_algebra(QQ, 2, 3, Fraction(2))
     lo, hi = (2, 3) if variant == "homology" else (-4, -3)
     with pytest.raises(ValueError, match="do not compose to zero"):
-        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
+        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, "resolution")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -131,7 +132,7 @@ def test_entry_across_multidegrees_fails_window_construction(monkeypatch,
 def test_property_window_maps_are_reference_maps(A, j):
     """Each map of the spliced window beyond the literal splice blocks is
     the map of the unmemoised reference formula."""
-    window = TateWindow(A, j, -5, 5, DEFAULT_BUDGET, ResolutionWindow)
+    window = TateWindow(A, j, -5, 5, DEFAULT_BUDGET, "resolution")
     homology, cohomology = nakayama_module(A, j), nakayama_module(A, j + 1)
     for n, m in window.maps.items():
         if abs(n) < 2:
@@ -163,7 +164,7 @@ def test_doubled_summand_block_fails_window_construction(monkeypatch, field,
     A = codim2_algebra(field, 2, 3, q)
     lo, hi = (2, 4) if variant == "homology" else (-5, -3)
     with pytest.raises(ValueError, match="do not compose to zero"):
-        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, ResolutionWindow)
+        TateWindow(A, 0, lo, hi, DEFAULT_BUDGET, "resolution")
 
 
 VARIANTS = ("homology", "cohomology")
@@ -176,7 +177,7 @@ def test_property_census_matches_window(A, k, variant):
     the spliced reference window in every degree of [-6, 5]."""
     table = tate_dims(TateRequest(A, -6, 5, variant, nakayama_power=k))
     j = k if variant == "homology" else k - 1
-    window = TateWindow(A, j, -6, 5, DEFAULT_BUDGET, ResolutionWindow)
+    window = TateWindow(A, j, -6, 5, DEFAULT_BUDGET, "resolution")
     assert [(e.dimension, e.method) for e in table.entries] == [
         (window.homology_dim(n if variant == "homology" else -n - 1),
          "resolution") for n in range(-6, 6)]
@@ -190,7 +191,7 @@ def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
     x^(m + delta e_w) e_(i - e_w) (homology) or from x^m e_(i - e_w) to
     x^(m + delta e_w) e_i (cohomology), delta = 1 for odd i_w and a_w - 1
     for even i_w."""
-    assembly = ResolutionWindow.differentials(A, j, variant)
+    assembly = Assembly(A, j, variant)
     sign = 1 if variant == "homology" else -1
     for n in range(1, 6):
         for i in generators(A.c, n):
@@ -274,7 +275,7 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
 
     patch_block(monkeypatch, drop_one)
     A = codim2_algebra(QQ, 2, 3, Fraction(2))
-    window = TateWindow(A, -1, -2, -2, DEFAULT_BUDGET, ResolutionWindow)
+    window = TateWindow(A, -1, -2, -2, DEFAULT_BUDGET, "resolution")
     assert window.homology_dim(-2) == 3
     with pytest.raises(ValueError, match="disagree in being zero"):
         tate_dims(TateRequest(A, 1, 1, "cohomology"))
@@ -327,11 +328,11 @@ def test_inverse_nakayama_matches_delta_complex(a, b):
     for q in (Fraction(2), Fraction(-3, 5), Fraction(9, 7), Fraction(3)):
         A = codim2_algebra(QQ, a, b, q)
         delta = DeltaComplex(A, 21)
-        res = ResolutionWindow(A, -1, 20)
+        res = TateWindow(A, -1, 1, 20, DEFAULT_BUDGET, "resolution")
         degrees = range(1, 21)
-        assert [res.dimension(n) for n in degrees] == \
+        assert [res.homology_dim(n) for n in degrees] == \
             [delta.homology_dim(n) for n in degrees], (a, b, q)
-        assert [res.window.maps[n].kernel_dim() for n in degrees] == \
+        assert [res.maps[n].kernel_dim() for n in degrees] == \
             [delta.kernel_dim(n) for n in degrees], (a, b, q)
 
 
@@ -494,7 +495,7 @@ def test_budget_caps_largest_resolution_space(tmp_path):
     A = exterior_algebra(QQ, 3)
     # nu twist, so no closed form applies
     with pytest.raises(BudgetExceeded, match="degree 3 needs 120 basis"):
-        ResolutionWindow(A, 1, 3, budget=119)
+        TateWindow(A, 1, 1, 3, 119, "resolution")
     table = tate_dims(TateRequest(A, 1, 4, nakayama_power=1, budget=119))
     assert [d is None for d in table.dims()] == [False, False, True, True]
     assert table.entry(3).source == \
