@@ -49,6 +49,12 @@ class BarWindowRequest(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("n_max", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
         if self.direction not in ("homology", "cohomology"):
@@ -198,12 +204,7 @@ class BarWindow(ChainComplexWindow):
     """
 
     def __init__(self, B, n_max, variant="homology", budget=DEFAULT_BUDGET):
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if variant not in ("homology", "cohomology"):
-            raise ValueError(f"unknown variant {variant!r}")
+        BarWindowRequest(B, n_max, variant, budget)  # checks the arguments
         self.n_max, self.variant = n_max, variant
         A = B.algebra
         sizes = [self.space_dim(A, B.dim, n) for n in range(n_max + 2)]

@@ -42,14 +42,15 @@ holds for every j.
 The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
 so its key (block_key) is w with i, i_w taken mod 2, under which an
-Assembly keeps its blocks and Census its edge records.  A block is integer
-entries over one denominator in lowest terms (residues over GF(p)).
+Assembly keeps its blocks.  So e_i and e_(i - 2 e_w) share the block of
+direction w, and Census carries the edge record of one to the other by
+generator position.  A block is integer entries over one denominator in
+lowest terms (residues over GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
 every differential preserves it, since x_w^j e' x_w^k has j + k =
-D_w(i) - D_w(i - e_w).  Census counts over this grading; the spliced
-reference window (tate_engine.TateWindow) holds the maps whole.
+D_w(i) - D_w(i - e_w).  Census counts over this grading.
 
 Label census.  Write delta = D_w(i) - D_w(i - e_w): 1 for odd i_w, a_w - 1
 for even i_w.  Per w, a label lambda allows one value of i_w or two
@@ -76,23 +77,21 @@ d vanishes on the label part.  Hence
 provided the w-edges of one label touching degree n agree in being zero.
 The squares whose upper vertex lies in degree n + 1 link all those edges
 (two opposite edges of such a square are parallel edges at adjacent
-levels), so Census checks, for each counted degree n, that every such
-square anticommutes exactly (the composition check of a window, d_n o
-d_(n+1) = 0) and that its opposite edges agree in being zero; it also
-checks once per block key that every entry of a block joins the monomials
-above.  Each failure raises ValueError.
+levels), so Census checks that every such square anticommutes exactly
+(d_n o d_(n+1) = 0 there) and that its opposite edges agree in being zero.
 
 Edge lemma (Census reads the blocks; the tests pin every block's zero
-pattern to this, evaluated in tests/oracles.py).  For
-B = nu^j with Nakayama scalars n = A.nakayama(j), A_w(lambda) =
-prod_{v<w} q_vw^lambda_v and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v,
-every w-edge at label lambda is +-(a unit) times E, with E = A_w - B_w for
-odd upper i_w and E = sum_{t<a_w} A_w^t B_w^(a_w-1-t) for even upper i_w.
-Whether an edge is zero therefore depends only on w, the parity of i_w
-and lambda_v for v != w.
+pattern to this, evaluated in tests/oracles.py).  For B = nu^j with
+Nakayama scalars n = A.nakayama(j), A_w(lambda) = prod_{v<w} q_vw^lambda_v
+and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v, every w-edge at label
+lambda is +-(a unit) times E, with E = A_w - B_w for odd upper i_w and
+E = sum_{t<a_w} A_w^t B_w^(a_w-1-t) for even upper i_w.  Whether an edge
+is zero therefore depends only on w, the parity of i_w and lambda_v for
+v != w.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -140,11 +139,6 @@ def sandwiches(A, j):
                  for key, entries in out.items()}
 
 
-def depth(a, k):
-    """a floor(k / 2) + (k mod 2), which is D_v(i) for a = a_v, k = i_v."""
-    return a * (k // 2) + k % 2
-
-
 def block_key(i, w):
     """The memo key of the block of s T_w at e_i: w with i, i_w taken mod 2
     (module docstring)."""
@@ -158,13 +152,14 @@ def _block(A, sandwiches, i, w, variant):
     ``sandwiches`` is the table of B = nu^j.
     """
     power, a = A.q_power, A.exponents[w]
+    depth = [b * (k // 2) + k % 2 for b, k in zip(A.exponents, i)]  # D_v(i)
     # alpha = an / ad and beta = bn / bd
     an = ad = bn = bd = 1
     for v in range(w):
-        num, den = power(v, w, depth(A.exponents[v], i[v]))
+        num, den = power(v, w, depth[v])
         an, ad = an * num, ad * den
     for v in range(w + 1, A.c):
-        num, den = power(w, v, depth(A.exponents[v], i[v]))
+        num, den = power(w, v, depth[v])
         bn, bd = bn * num, bd * den
     sign = -1 if sum(i[:w]) % 2 else 1
     if i[w] % 2:
@@ -196,19 +191,13 @@ def _block(A, sandwiches, i, w, variant):
 class Assembly:
     """The maps of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j.
 
-    Every degree shares one table each of summand blocks, under
-    ``block_key``, and generator lists.
+    Every degree shares one table of summand blocks, under ``block_key``.
     """
 
     def __init__(self, A, j, variant):
         self.A, self.variant = A, variant
         self.sandwiches = sandwiches(A, j)
-        self.blocks, self.bases = {}, {}
-
-    def generators(self, n):
-        if n not in self.bases:
-            self.bases[n] = generators(self.A.c, n)
-        return self.bases[n]
+        self.blocks = {}
 
     def block(self, i, w):
         key = block_key(i, w)
@@ -227,9 +216,9 @@ class Assembly:
         A, variant = self.A, self.variant
         c, dim = A.c, A.dim
         top = n if variant == "homology" else n + 1
-        index = {i: t for t, i in enumerate(self.generators(top - 1))}
+        index = {i: t for t, i in enumerate(generators(c, top - 1))}
         parts = []  # (row offset, column offset, den, entries) per summand
-        for t, i in enumerate(self.generators(top)):
+        for t, i in enumerate(generators(c, top)):
             for w in range(c):
                 if not i[w]:
                     continue
@@ -254,13 +243,17 @@ class Census:
     for each n in ``degrees`` (n >= 1), by counting label cubes (module
     docstring), with no Bimodule and no matrix.
 
-    Construction checks A's characters (once per algebra), evaluates every
-    summand block of the maps out of and into degree n once per block key
-    (``Assembly.evaluate``) and checks that each entry joins the monomials
-    its multidegree allows; then it checks every label square with its
-    upper vertex in degree n + 1: the square anticommutes (d o d = 0 there)
-    and its opposite edges agree in being zero.  A failure raises
-    ValueError.
+    Degrees are held as flat lists by generator position (``_level``), n - 1
+    to n + 1 while n is counted.  The record of (i, w) with i_w >= 3 is that
+    of (i - 2 e_w, w), two index steps down, where degree n - 2 is held;
+    every other record evaluates its block (``Assembly.evaluate``), so
+    consecutive degrees evaluate each block key once.
+
+    Construction checks A's characters (once per algebra), that each entry
+    of an evaluated block joins the monomials its multidegree allows, and,
+    for each counted n, every label square with its upper vertex in degree
+    n + 1: it anticommutes (d o d = 0 there) and its opposite edges agree in
+    being zero.  A failure raises ValueError.
     """
 
     def __init__(self, A, j, variant, degrees):
@@ -290,83 +283,88 @@ class Census:
                     zip(self.lower[w][pw], self.lower[v][pv]))
                 if mw is not None and mv is not None]
             for w, v in self.pairs for pw in (0, 1) for pv in (0, 1)}
-        self._edges, self._frames, self.dims = {}, {}, {}
+        self.levels, self.dims = {}, {}  # degree: _level(degree)
         for n in sorted(set(degrees)):
             self.dims[n] = self._count(n)
             self._check_squares(n + 1)
-            self._frames = {k: frame for k, frame in self._frames.items()
-                            if k > n}
 
     def dimension(self, n):
         return self.dims[n]
 
-    def _edge(self, i, w):
+    def _record(self, i, w):
         """(den, values, upper_ok, lower_ok) for the block of s T_w at e_i:
         values[m] is the numerator of the w-edge at upper monomial m (0
         where it is zero or absent); upper_ok and lower_ok are bitmasks over
         A's monomials, with every bit set except those of the upper and of
         the lower ends of the nonzero edges of this block."""
-        key = block_key(i, w)
-        record = self._edges.get(key)
-        if record is None:
-            parity = i[w] % 2
-            targets = self.lower[w][parity]
-            den, entries = self.assembly.evaluate(key)
-            values = [0] * len(targets)
-            for row, col, v in entries:
-                up, low = (col, row) if self.variant == "homology" \
-                    else (row, col)
-                if targets[up] != low:
-                    raise ValueError(
-                        f"block of direction {w} at generator {i}: entry "
-                        f"({row}, {col}) joins monomials of different "
-                        f"multidegree")
-                values[up] = v
-            upper_ok = lower_ok = self.full
-            for up, v in enumerate(values):
-                if v:
-                    upper_ok ^= 1 << up
-                    lower_ok ^= 1 << targets[up]
-            record = self._edges[key] = (den, values, upper_ok, lower_ok)
-        return record
+        targets = self.lower[w][i[w] % 2]
+        den, entries = self.assembly.evaluate(block_key(i, w))
+        values, upper_ok, lower_ok = [0] * len(targets), self.full, self.full
+        for row, col, v in entries:  # one entry per (row, col), each nonzero
+            up, low = (col, row) if self.variant == "homology" else (row, col)
+            if targets[up] != low:
+                raise ValueError(
+                    f"block of direction {w} at generator {i}: entry "
+                    f"({row}, {col}) joins monomials of different "
+                    f"multidegree")
+            values[up] = v
+            upper_ok &= ~(1 << up)
+            lower_ok &= ~(1 << low)
+        return den, values, upper_ok, lower_ok
 
-    def _frame(self, n):
-        """{i: the record of each direction w, None where i_w = 0} over the
-        generators of degree n."""
-        if n not in self._frames:
-            self._frames[n] = {
-                i: tuple(self._edge(i, w) if k else None
-                         for w, k in enumerate(i))
-                for i in generators(self.c, n)}
-        return self._frames[n]
+    def _level(self, n):
+        """(generators, down, records) of degree n, built after dropping the
+        degrees below n - 2: down[w] and records[w] list, per generator i,
+        the position of i - e_w in degree n - 1 and the record of (i, w),
+        None where i_w = 0."""
+        if n not in self.levels:
+            self.levels = {k: v for k, v in self.levels.items() if k >= n - 2}
+            below, two = self.levels.get(n - 1), self.levels.get(n - 2)
+            gens, down, records = generators(self.c, n), [], []
+            for w in range(self.c):
+                # i -> i - e_w keeps the (lexicographic) order of generators
+                # and is onto degree n - 1, so positions are counted
+                rank = count()
+                steps = [next(rank) if i[w] else None for i in gens]
+                # the record at i - 2 e_w (the same block), where degree
+                # n - 2 is held and (i - 2 e_w)_w > 0
+                carried = [None if s is None or below[1][w][s] is None
+                           else two[2][w][below[1][w][s]] for s in steps] \
+                    if below and two else [None] * len(gens)
+                down.append(steps)
+                records.append([
+                    carried[t] or (self._record(i, w) if i[w] else None)
+                    for t, i in enumerate(gens)])
+            self.levels[n] = gens, down, records
+        return self.levels[n]
 
     def _count(self, n):
         """The number of x^m e_i, |i| = n, all of whose edges are zero."""
-        above = self._frame(n + 1)
-        total = 0
-        for i, records in self._frame(n).items():
-            mask = self.full
-            for w, record in enumerate(records):
+        records, (_, up_down, up_records) = self._level(n)[2], \
+            self._level(n + 1)
+        masks = [self.full] * len(records[0])
+        for w in range(self.c):
+            for t, record in enumerate(records[w]):
                 if record:
-                    mask &= record[2]
-                mask &= above[i[:w] + (i[w] + 1,) + i[w + 1:]][w][3]
-            total += mask.bit_count()
-        return total
+                    masks[t] &= record[2]
+            # the w-edge up from e_i starts at e_(i + e_w)
+            for t, record in zip(up_down[w], up_records[w]):
+                if record:
+                    masks[t] &= record[3]
+        return sum(map(int.bit_count, masks))
 
     def _check_squares(self, n):
         """Every label square whose upper vertex lies in degree n."""
-        p, below = self.p, self._frame(n - 1)
-        for u, records in self._frame(n).items():
-            # faces[w]: the records at e_(u - e_w)
-            faces = [below[u[:w] + (k - 1,) + u[w + 1:]] if k else None
-                     for w, k in enumerate(u)]
+        p, (gens, down, records) = self.p, self._level(n)
+        faces = self._level(n - 1)[2]
+        for t, u in enumerate(gens):
             for w, v in self.pairs:
                 if not (u[w] and u[v]):
                     continue
-                den1, e1, _, _ = records[w]
-                den2, e2, _, _ = faces[w][v]
-                den3, e3, _, _ = records[v]
-                den4, e4, _, _ = faces[v][w]
+                den1, e1, _, _ = records[w][t]
+                den2, e2, _, _ = faces[v][down[w][t]]
+                den3, e3, _, _ = records[v][t]
+                den4, e4, _, _ = faces[w][down[v][t]]
                 # e1 e2 / (den1 den2) + e3 e4 / (den3 den4) must vanish
                 s12, s34 = den3 * den4, den1 * den2
                 for m, mw, mv in self.corners[w, v, u[w] % 2, u[v] % 2]:

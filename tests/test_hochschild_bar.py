@@ -7,6 +7,7 @@ import pytest
 from tatehh.closed_forms import ci_dim, exterior_dim
 from tatehh.exact_field import QQ, PrimeField
 from tatehh.hochschild_bar import (
+    BarWindow,
     BarWindowRequest,
     BudgetExceeded,
     boundary_matrix,
@@ -44,6 +45,19 @@ def test_request_validation():
         hh_homology_dims(BarWindowRequest(B, 1, "cohomology"))
     with pytest.raises(ValueError):
         hh_cohomology_dims(BarWindowRequest(B, 1, "homology"))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_max", True), ("n_max", 1.0), ("budget", 10.5)])
+def test_request_and_window_take_int_fields_only(name, value):
+    """n_max=True would serve degrees 0..1, n_max=1.0 fail inside range, and
+    budget=10.5 be reported as "budget is 10.5"."""
+    B = regular_bimodule(codim2_algebra(QQ, 2, 3, Fraction(2)))
+    fields = {"n_max": 1, "budget": 10_000, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        BarWindowRequest(B, fields["n_max"], "homology", fields["budget"])
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        BarWindow(B, fields["n_max"], "homology", fields["budget"])
 
 
 def test_budget_error_names_first_unaffordable_degree():

@@ -227,24 +227,46 @@ def patch_block(monkeypatch, change):
     monkeypatch.setattr(twisted_resolution, "_block", patched)
 
 
-@pytest.mark.parametrize("field, q", [(QQ, Fraction(2)), (PrimeField(5), 2)],
-                         ids=["QQ", "GF5"])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_doubled_block_fails_census(monkeypatch, field, q, variant):
+# the block of direction 1 under the key of e_(40, 2): first evaluated at
+# degree 42 and carried to e_(40, 4), e_(40, 6) and e_(40, 8)
+DEEP_KEY = ((40, 0), 1)
+
+
+@pytest.mark.parametrize("field, q, variant, target, caught", [
+    (QQ, Fraction(2), "homology", None, ()),
+    (PrimeField(5), 2, "homology", None, ()),
+    (QQ, Fraction(2), "cohomology", None, ()),
+    (PrimeField(5), 2, "cohomology", None, ()),
+    (QQ, Fraction(2), "homology", DEEP_KEY,
+     ("degrees 42 and 41", "(40, 2),")),
+    # over GF(3) the squares at e_(40, 2) and e_(41, 2) still hold; the
+    # first that fails reads the record carried to e_(40, 4)
+    (PrimeField(3), 2, "homology", DEEP_KEY,
+     ("degrees 44 and 43", "(40, 4),")),
+], ids=["homology-QQ", "homology-GF5", "cohomology-QQ", "cohomology-GF5",
+        "deep-QQ", "deep-GF3"])
+def test_doubled_block_fails_census(monkeypatch, field, q, variant, target,
+                                    caught):
     """Doubling the first nonzero block breaks a label square, and the
-    census of tate_dims stops with the window's wording."""
+    census of tate_dims stops with the window's wording.  At depth the
+    doubled block is the one under DEEP_KEY, in nu^-1 homology on
+    [1, 48]."""
     doubled = []
 
-    def double_first(A, i, w, entries):
-        if entries and not doubled:
+    def double(A, i, w, entries):
+        if entries and ((i, w) == target if target else not doubled):
             doubled.append((i, w))
             return [(row, col, A.field.mul(2, v)) for row, col, v in entries]
         return entries
 
-    patch_block(monkeypatch, double_first)
-    with pytest.raises(ValueError, match="do not compose to zero"):
-        tate_dims(TateRequest(codim2_algebra(field, 2, 3, q), 2, 4, variant))
+    patch_block(monkeypatch, double)
+    A = codim2_algebra(field, 2, 3, q)
+    req = TateRequest(A, 1, 48, nakayama_power=-1) if target else \
+        TateRequest(A, 2, 4, variant)
+    with pytest.raises(ValueError, match="do not compose to zero") as info:
+        tate_dims(req)
     assert doubled
+    assert all(part in str(info.value) for part in caught)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -269,7 +291,8 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     d o d = 0 next to cohomology degree 1, so the reference window builds
     and reads dim 3 there (2 unpatched); but it leaves one label with a
     zero and a nonzero edge in direction 0, where the cube argument does
-    not hold.  The census refuses it."""
+    not hold.  The census refuses it.  The same holds at depth for an entry
+    of the block under DEEP_KEY, next to homology degree 41 of nu^-1."""
     def drop_one(A, i, w, entries):
         return entries[1:] if (i, w) == ((1, 0), 0) else entries
 
@@ -279,6 +302,40 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     assert window.homology_dim(-2) == 3
     with pytest.raises(ValueError, match="disagree in being zero"):
         tate_dims(TateRequest(A, 1, 1, "cohomology"))
+    for A, entry, unpatched, generator in (
+            (codim2_algebra(QQ, 3, 3, Fraction(1)), 2, 172, "(41, 2)"),
+            (codim2_algebra(PrimeField(5), 2, 3, 4), 0, 43, "(40, 2)")):
+        monkeypatch.undo()
+        window = TateWindow(A, -1, 41, 41, DEFAULT_BUDGET, "resolution")
+        assert window.homology_dim(41) == unpatched
+        patch_block(monkeypatch, lambda A, i, w, entries, entry=entry:
+                    entries[:entry] + entries[entry + 1:]
+                    if (i, w) == DEEP_KEY else entries)
+        window = TateWindow(A, -1, 41, 41, DEFAULT_BUDGET, "resolution")
+        assert window.homology_dim(41) == unpatched + 1
+        with pytest.raises(ValueError, match="disagree in being zero") \
+                as info:
+            tate_dims(TateRequest(A, 1, 48, nakayama_power=-1))
+        assert f"at generator {generator}," in str(info.value)
+
+
+def test_census_evaluates_each_block_key_once(monkeypatch):
+    """A census of nu^-1 homology on [1, 48] evaluates each block key of
+    degrees 1 to 49 once (records at i_w >= 3 are carried from
+    i - 2 e_w) and ends holding three degrees."""
+    keys = []
+    evaluate = Assembly.evaluate
+    monkeypatch.setattr(Assembly, "evaluate",
+                        lambda self, key: keys.append(key) or
+                        evaluate(self, key))
+    census = Census(codim2_algebra(QQ, 2, 3, Fraction(2)), -1, "homology",
+                    range(1, 49))
+    assert [census.dimension(n) for n in range(1, 49)] == [0] * 48
+    distinct = {(w, i[:w] + (i[w] % 2,) + i[w + 1:])
+                for n in range(1, 50) for i in generators(2, n)
+                for w in (0, 1) if i[w]}
+    assert len(keys) == len(distinct) and set(keys) == distinct
+    assert sorted(census.levels) == [47, 48, 49]
 
 
 # the generic c = 3 algebra of the roadmap: exponents 2, 2, 3 over QQ
