@@ -42,10 +42,9 @@ holds for every j.
 The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
 so its key (block_key) is w with i, i_w taken mod 2, under which an
-Assembly keeps its blocks.  So e_i and e_(i - 2 e_w) share the block of
-direction w, and Census carries the edge record of one to the other by
-generator position.  A block is integer entries over one denominator in
-lowest terms (residues over GF(p)).
+Assembly keeps its blocks; Census carries the one of e_(i - 2 e_w) to e_i.
+A block is integer entries over one denominator in lowest terms (residues
+over GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
@@ -243,17 +242,16 @@ class Census:
     for each n in ``degrees`` (n >= 1), by counting label cubes (module
     docstring), with no Bimodule and no matrix.
 
-    Degrees are held as flat lists by generator position (``_level``), n - 1
-    to n + 1 while n is counted.  The record of (i, w) with i_w >= 3 is that
-    of (i - 2 e_w, w), two index steps down, where degree n - 2 is held;
-    every other record evaluates its block (``Assembly.evaluate``), so
-    consecutive degrees evaluate each block key once.
+    Counting n, it holds degrees n - 1 to n + 1 as lists by generator
+    position (``_level``).  The record of (i, w) with i_w >= 3 is carried
+    from i - 2 e_w; the others evaluate their block, so consecutive degrees
+    evaluate each block key once.
 
-    Construction checks A's characters (once per algebra), that each entry
-    of an evaluated block joins the monomials its multidegree allows, and,
-    for each counted n, every label square with its upper vertex in degree
-    n + 1: it anticommutes (d o d = 0 there) and its opposite edges agree in
-    being zero.  A failure raises ValueError.
+    Construction checks A's characters (once per algebra), each entry of an
+    evaluated block against its multidegree, and, for each counted n, every
+    label square with its upper vertex in degree n + 1: it anticommutes
+    (d o d = 0 there) and its opposite edges agree in being zero.  A failure
+    raises ValueError.
     """
 
     def __init__(self, A, j, variant, degrees):
@@ -300,7 +298,7 @@ class Census:
         targets = self.lower[w][i[w] % 2]
         den, entries = self.assembly.evaluate(block_key(i, w))
         values, upper_ok, lower_ok = [0] * len(targets), self.full, self.full
-        for row, col, v in entries:  # one entry per (row, col), each nonzero
+        for row, col, v in entries:  # distinct (row, col), v != 0
             up, low = (col, row) if self.variant == "homology" else (row, col)
             if targets[up] != low:
                 raise ValueError(
@@ -314,20 +312,19 @@ class Census:
 
     def _level(self, n):
         """(generators, down, records) of degree n, built after dropping the
-        degrees below n - 2: down[w] and records[w] list, per generator i,
-        the position of i - e_w in degree n - 1 and the record of (i, w),
-        None where i_w = 0."""
+        degrees below n - 2: down[w][t] is the position of i - e_w in degree
+        n - 1 for the t-th generator i, records[w][t] the record of (i, w),
+        both None where i_w = 0."""
         if n not in self.levels:
             self.levels = {k: v for k, v in self.levels.items() if k >= n - 2}
             below, two = self.levels.get(n - 1), self.levels.get(n - 2)
             gens, down, records = generators(self.c, n), [], []
             for w in range(self.c):
-                # i -> i - e_w keeps the (lexicographic) order of generators
-                # and is onto degree n - 1, so positions are counted
+                # i -> i - e_w keeps the lexicographic order and is onto
+                # degree n - 1, so positions are counted
                 rank = count()
                 steps = [next(rank) if i[w] else None for i in gens]
-                # the record at i - 2 e_w (the same block), where degree
-                # n - 2 is held and (i - 2 e_w)_w > 0
+                # the record at i - 2 e_w, where held and i_w >= 3
                 carried = [None if s is None or below[1][w][s] is None
                            else two[2][w][below[1][w][s]] for s in steps] \
                     if below and two else [None] * len(gens)
