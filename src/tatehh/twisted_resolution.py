@@ -42,9 +42,9 @@ holds for every j.
 The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
 so its key (block_key) is w with i, i_w taken mod 2, under which an
-Assembly keeps its blocks; Census carries the one of e_(i - 2 e_w) to e_i.
-A block is integer entries over one denominator in lowest terms (residues
-over GF(p)).
+Assembly keeps its blocks; Census carries the edge record of e_(i - 2 e_w)
+to e_i.  A block is integer entries over one denominator in lowest terms
+(residues over GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
@@ -80,13 +80,13 @@ levels), so Census checks that every such square anticommutes exactly
 (d_n o d_(n+1) = 0 there) and that its opposite edges agree in being zero.
 
 Edge lemma (Census reads the blocks; the tests pin every block's zero
-pattern to this, evaluated in tests/oracles.py).  For B = nu^j with
-Nakayama scalars n = A.nakayama(j), A_w(lambda) = prod_{v<w} q_vw^lambda_v
-and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v, every w-edge at label
-lambda is +-(a unit) times E, with E = A_w - B_w for odd upper i_w and
-E = sum_{t<a_w} A_w^t B_w^(a_w-1-t) for even upper i_w.  Whether an edge
-is zero therefore depends only on w, the parity of i_w and lambda_v for
-v != w.
+pattern to this, evaluated in tests/oracles.py).  For
+B = nu^j with Nakayama scalars n = A.nakayama(j), A_w(lambda) =
+prod_{v<w} q_vw^lambda_v and B_w(lambda) = n_w prod_{v>w} q_wv^lambda_v,
+every w-edge at label lambda is +-(a unit) times E, with E = A_w - B_w for
+odd upper i_w and E = sum_{t<a_w} A_w^t B_w^(a_w-1-t) for even upper i_w.
+Whether an edge is zero therefore depends only on w, the parity of i_w
+and lambda_v for v != w.
 """
 
 from fractions import Fraction
@@ -138,6 +138,11 @@ def sandwiches(A, j):
                  for key, entries in out.items()}
 
 
+def depth(a, k):
+    """a floor(k / 2) + (k mod 2), which is D_v(i) for a = a_v, k = i_v."""
+    return a * (k // 2) + k % 2
+
+
 def block_key(i, w):
     """The memo key of the block of s T_w at e_i: w with i, i_w taken mod 2
     (module docstring)."""
@@ -151,14 +156,13 @@ def _block(A, sandwiches, i, w, variant):
     ``sandwiches`` is the table of B = nu^j.
     """
     power, a = A.q_power, A.exponents[w]
-    depth = [b * (k // 2) + k % 2 for b, k in zip(A.exponents, i)]  # D_v(i)
     # alpha = an / ad and beta = bn / bd
     an = ad = bn = bd = 1
     for v in range(w):
-        num, den = power(v, w, depth[v])
+        num, den = power(v, w, depth(A.exponents[v], i[v]))
         an, ad = an * num, ad * den
     for v in range(w + 1, A.c):
-        num, den = power(w, v, depth[v])
+        num, den = power(w, v, depth(A.exponents[v], i[v]))
         bn, bd = bn * num, bd * den
     sign = -1 if sum(i[:w]) % 2 else 1
     if i[w] % 2:
