@@ -11,7 +11,6 @@ from .qci_algebra import (
     codim2_algebra,
     dual_bimodule,
     exterior_algebra,
-    regular_bimodule,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "exterior_algebra",
     "hh_cohomology_dims",
     "hh_homology_dims",
-    "regular_bimodule",
     "tate_dims",
     "tate_hh0",
     "truncated_polynomial_algebra",

@@ -137,12 +137,6 @@ def table_from_csv(text):
     return entries
 
 
-def table_from_json(text):
-    doc = json.loads(text)
-    return [TableEntry(e["degree"], e["dimension"], e["method"], e["source"])
-            for e in doc["entries"]]
-
-
 def _emit(payload, out_path):
     if out_path is None:
         sys.stdout.write(payload)

@@ -3,8 +3,8 @@
 Scalars are plain Python values in canonical form: `fractions.Fraction` over
 the rationals (always fully reduced, unique representation), integers in
 ``range(p)`` over GF(p).  The rational operations also take Python ints,
-the integer rationals (integer-scaled maps hold them), and ``inv`` and
-``div`` return a Fraction for them, never a float.  A field object supplies
+the integer rationals (integer-scaled maps hold them), and ``inv`` returns
+a Fraction for them, never a float.  A field object supplies
 the arithmetic, parsing and printing, so the rest of the package can stay
 field-generic without wrapping every scalar in an object.
 """
@@ -76,9 +76,6 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
-    def of_int(self, n):
-        return Fraction(n)
-
     def add(self, x, y):
         return x + y
 
@@ -95,11 +92,6 @@ class RationalField:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1, x) if isinstance(x, int) else 1 / x
-
-    def div(self, x, y):
-        if y == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(x) / y
 
     def parse(self, text):
         """Parse "n" or "n/d" into a canonical Fraction."""
@@ -139,9 +131,6 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def of_int(self, n):
-        return n % self.p
-
     def add(self, x, y):
         return (x + y) % self.p
 
@@ -158,9 +147,6 @@ class PrimeField:
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, self.p)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
     def parse(self, text):
         """Parse "n" or "n/d" into a canonical residue (d inverted mod p)."""

@@ -414,10 +414,6 @@ def twisted_bimodule(algebra, f=None, g=None, label=None):
     return Bimodule(A, left, right, label=label)
 
 
-def regular_bimodule(algebra):
-    return twisted_bimodule(algebra, None, None, label="regular")
-
-
 def dual_bimodule(B, label=None):
     """The linear dual: actions transposed, sides exchanged."""
     left = [m.transpose() for m in B.right]

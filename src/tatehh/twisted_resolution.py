@@ -43,8 +43,10 @@ The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
 so its key (block_key) is w with i, i_w taken mod 2, under which an
 Assembly keeps its blocks; Census carries the edge record of e_(i - 2 e_w)
-to e_i.  A block is integer entries over one denominator in lowest terms
-(residues over GF(p)).
+to e_i.  The terms of s T_w are sandwiches with one k + l, all shifting
+x^e to x^(e + (k + l) e_w), so a block is its scalars applied to one
+template per w and parity of i_w: integer entries over one denominator,
+not in lowest terms (residues over GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
@@ -79,6 +81,24 @@ The squares whose upper vertex lies in degree n + 1 link all those edges
 levels), so Census checks that every such square anticommutes exactly
 (d_n o d_(n+1) = 0 there) and that its opposite edges agree in being zero.
 
+Parallelogram rule.  At a square of directions w < v at u, let rho be the
+w-edges at u and u - e_v and sigma the v-edges at u and u - e_w, at the
+monomials of one corner; the square says S(rho, sigma): rho_1 sigma_2 +
+sigma_1 rho_2 = 0.  For u_w, u_v >= 3 records are carried, so rho =
+rho(u - 2e_w) and sigma = sigma(u - 2e_v), and the squares at u - 2e_w,
+u - 2e_v and u - 2e_w - 2e_v are (A) S(rho, sigma'), (B) S(rho', sigma)
+and (C) S(rho', sigma'), rho' = rho(u - 2e_v), sigma' = sigma(u - 2e_w).
+If they hold, rho_1 sigma_2 sigma'_1 rho'_2 = -(rho_1 sigma'_2)(rho'_1
+sigma_2) = -sigma'_1 rho_2 sigma_1 rho'_2 by (C), then (A) and (B).  So
+where the middle edges rho'_1 at (u - 2e_v, w) and sigma'_1 at (u - 2e_w,
+v) are nonzero (and with them rho'_2, by C), the square at u holds; its
+zero agreements are those of rho in (A) and of sigma in (B).  Census uses
+the rule in degree n only after checking the squares of degrees n - 2
+and n - 4 itself (so degrees n - 5, n - 3, n - 1 were counted and n - 3
+to n built carrying records) and multiplies out every other square.  An
+implied square cannot fail, so the first failing square is the one a
+check of every square reports.
+
 Edge lemma (Census reads the blocks; the tests pin every block's zero
 pattern to this, evaluated in tests/oracles.py).  For
 B = nu^j with Nakayama scalars n = A.nakayama(j), A_w(lambda) =
@@ -90,17 +110,17 @@ and lambda_v for v != w.
 """
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .sparse_linalg import SparseMatrix
 
 
 def generators(c, n):
     """The exponent vectors i in N^c with |i| = n, in a fixed order."""
-    if c == 1:
-        return [(n,)]
+    if c < 3:
+        return [(n,)] if c == 1 else [(h, n - h) for h in range(n, -1, -1)]
     return [(h,) + rest for h in range(n, -1, -1)
             for rest in generators(c - 1, n - h)]
 
@@ -149,12 +169,31 @@ def block_key(i, w):
     return w, i[:w] + (i[w] % 2,) + i[w + 1:]
 
 
-def _block(A, sandwiches, i, w, variant):
+def _templates(A, j, variant):
+    """(den, {(w, parity of i_w): (positions, rows)}) for B = nu^j from
+    ``sandwiches``: the sandwich matrices of the terms of s T_w share their
+    positions (row, col), and rows[k] holds the values of the k-th term
+    (in _block's order) at them."""
+    den, matrices = sandwiches(A, j)
+    out = {}
+    for w, a in enumerate(A.exponents):
+        for parity in (0, 1):
+            # the term x_w^s e' x_w^t is b -> x^t b x^s (homology), f -> x^s
+            # f x^t (cohomology)
+            keys = [(w, t, s) if variant == "homology" else (w, s, t)
+                    for s, t in ([(1, 0), (0, 1)] if parity else
+                                 [(s, a - 1 - s) for s in range(a)])]
+            out[w, parity] = (
+                [(row, col) for row, col, _ in matrices[keys[0]]],
+                [[v for *_, v in matrices[key]] for key in keys])
+    return den, out
+
+
+def _block(A, templates, i, w, variant):
     """The map on one B summand induced by s T_w for the generator e_i, as
     (den, entries): its nonzero entries are (row, col, v / den), v an
-    integer, in lowest terms.  Over GF(p) each v is a residue and den is 1.
-    ``sandwiches`` is the table of B = nu^j.
-    """
+    integer not in lowest terms (a residue, and den = 1, over GF(p)), from
+    B's ``_templates``, which hold ``variant``."""
     power, a = A.q_power, A.exponents[w]
     # alpha = an / ad and beta = bn / bd
     an = ad = bn = bd = 1
@@ -167,28 +206,22 @@ def _block(A, sandwiches, i, w, variant):
     sign = -1 if sum(i[:w]) % 2 else 1
     if i[w] % 2:
         den = ad * bd
-        terms = [(an * bd, 1, 0), (-bn * ad, 0, 1)]
+        scalars = (sign * an * bd, -sign * bn * ad)
     else:
         # alpha^j beta^(a-1-j) over the common denominator (ad bd)^(a-1)
         den = (ad * bd) ** (a - 1)
-        terms = [(an ** j * bd ** j * (bn * ad) ** (a - 1 - j), j, a - 1 - j)
-                 for j in range(a)]
-    den_s, matrices = sandwiches
-    out = {}
-    for scalar, j, k in terms:
-        # x_w^j e' x_w^k: b -> x^k b x^j (homology), f -> x^j f x^k (cohomology)
-        key = (w, k, j) if variant == "homology" else (w, j, k)
-        scalar *= sign
-        for row, col, v in matrices[key]:
-            out[row, col] = out.get((row, col), 0) + scalar * v
+        scalars = [sign * an ** j * bd ** j * (bn * ad) ** (a - 1 - j)
+                   for j in range(a)]
+    den_s, table = templates
+    positions, rows = table[w, i[w] % 2]
+    values = repeat(0)
+    for scalar, row in zip(scalars, rows):
+        values = map(add, values, map(mul, row, repeat(scalar)))
+    pairs = zip(positions, values)
     p = A.field.characteristic
     if p:
-        return 1, [(row, col, v % p) for (row, col), v in out.items()
-                   if v % p]
-    den *= den_s
-    g = gcd(den, *out.values())
-    return den // g, [(row, col, v // g) for (row, col), v in out.items()
-                      if v]
+        return 1, [(row, col, v % p) for (row, col), v in pairs if v % p]
+    return den * den_s, [(row, col, v) for (row, col), v in pairs if v]
 
 
 class Assembly:
@@ -199,7 +232,7 @@ class Assembly:
 
     def __init__(self, A, j, variant):
         self.A, self.variant = A, variant
-        self.sandwiches = sandwiches(A, j)
+        self.templates = _templates(A, j, variant)
         self.blocks = {}
 
     def block(self, i, w):
@@ -211,7 +244,7 @@ class Assembly:
     def evaluate(self, key):
         """The block under ``key`` (w, i with i_w mod 2), not memoised."""
         w, i = key
-        return _block(self.A, self.sandwiches, i, w, self.variant)
+        return _block(self.A, self.templates, i, w, self.variant)
 
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology
@@ -254,8 +287,10 @@ class Census:
     Construction checks A's characters (once per algebra), each entry of an
     evaluated block against its multidegree, and, for each counted n, every
     label square with its upper vertex in degree n + 1: it anticommutes
-    (d o d = 0 there) and its opposite edges agree in being zero.  A failure
-    raises ValueError.
+    (d o d = 0 there) and its opposite edges agree in being zero, directly
+    or, from the squares two and four degrees below, by the parallelogram
+    rule (module docstring; u_w, u_v >= 3 and nonzero middle edges).  A
+    failure raises ValueError.
     """
 
     def __init__(self, A, j, variant, degrees):
@@ -285,7 +320,11 @@ class Census:
                     zip(self.lower[w][pw], self.lower[v][pv]))
                 if mw is not None and mv is not None]
             for w, v in self.pairs for pw in (0, 1) for pv in (0, 1)}
+        # the upper monomials of each corner list, as a bitmask
+        self.spans = {key: sum(1 << m for m, _, _ in corners)
+                      for key, corners in self.corners.items()}
         self.levels, self.dims = {}, {}  # degree: _level(degree)
+        self.checked = set()  # the upper degrees of the squares checked
         for n in sorted(set(degrees)):
             self.dims[n] = self._count(n)
             self._check_squares(n + 1)
@@ -302,8 +341,9 @@ class Census:
         targets = self.lower[w][i[w] % 2]
         den, entries = self.assembly.evaluate(block_key(i, w))
         values, upper_ok, lower_ok = [0] * len(targets), self.full, self.full
+        homology = self.variant == "homology"
         for row, col, v in entries:  # distinct (row, col), v != 0
-            up, low = (col, row) if self.variant == "homology" else (row, col)
+            up, low = (col, row) if homology else (row, col)
             if targets[up] != low:
                 raise ValueError(
                     f"block of direction {w} at generator {i}: entry "
@@ -328,58 +368,71 @@ class Census:
                 # degree n - 1, so positions are counted
                 rank = count()
                 steps = [next(rank) if i[w] else None for i in gens]
-                # the record at i - 2 e_w, where held and i_w >= 3
-                carried = [None if s is None or below[1][w][s] is None
-                           else two[2][w][below[1][w][s]] for s in steps] \
-                    if below and two else [None] * len(gens)
                 down.append(steps)
+                # i_w >= 3: the record at i - 2 e_w, where degree n - 2 is held
+                far, ahead = (two[2][w], below[1][w]) if below and two \
+                    else (None, None)
                 records.append([
-                    carried[t] or (self._record(i, w) if i[w] else None)
-                    for t, i in enumerate(gens)])
+                    far[ahead[s]] if far and i[w] > 2 else
+                    self._record(i, w) if i[w] else None
+                    for i, s in zip(gens, steps)])
             self.levels[n] = gens, down, records
         return self.levels[n]
 
     def _count(self, n):
         """The number of x^m e_i, |i| = n, all of whose edges are zero."""
-        records, (_, up_down, up_records) = self._level(n)[2], \
-            self._level(n + 1)
+        records, up_records = self._level(n)[2], self._level(n + 1)[2]
         masks = [self.full] * len(records[0])
         for w in range(self.c):
-            for t, record in enumerate(records[w]):
-                if record:
-                    masks[t] &= record[2]
-            # the w-edge up from e_i starts at e_(i + e_w)
-            for t, record in zip(up_down[w], up_records[w]):
-                if record:
-                    masks[t] &= record[3]
+            masks = [m & r[2] if r else m for m, r in zip(masks, records[w])]
+            # the w-edge up from e_i starts at e_(i + e_w), and i -> i + e_w
+            # runs through the generators of degree n + 1 with i_w > 0 in order
+            masks = [m & r[3] for m, r in zip(masks, filter(None,
+                                                             up_records[w]))]
         return sum(map(int.bit_count, masks))
 
     def _check_squares(self, n):
-        """Every label square whose upper vertex lies in degree n."""
-        p, (gens, down, records) = self.p, self._level(n)
+        """Every label square whose upper vertex lies in degree n, by
+        ``_square`` or by the parallelogram rule (module docstring)."""
+        gens, down, records = self._level(n)
         faces = self._level(n - 1)[2]
+        rule = {n - 2, n - 4} <= self.checked
+        below, two = (self.levels[n - 1][1], self.levels[n - 2][2]) if rule \
+            else (None, None)
+        spans, square = self.spans, self._square
         for t, u in enumerate(gens):
             for w, v in self.pairs:
-                if not (u[w] and u[v]):
+                x, y = u[w], u[v]
+                if not (x and y):
                     continue
-                den1, e1, _, _ = records[w][t]
-                den2, e2, _, _ = faces[v][down[w][t]]
-                den3, e3, _, _ = records[v][t]
-                den4, e4, _, _ = faces[w][down[v][t]]
-                # e1 e2 / (den1 den2) + e3 e4 / (den3 den4) must vanish
-                s12, s34 = den3 * den4, den1 * den2
-                for m, mw, mv in self.corners[w, v, u[w] % 2, u[v] % 2]:
-                    a, b, c, d = e1[m], e2[mw], e3[m], e4[mv]
-                    total = a * b * s12 + c * d * s34
-                    if total % p if p else total:
-                        raise ValueError(
-                            f"{self.variant} maps at degrees {n} and "
-                            f"{n - 1} do not compose to zero: square of "
-                            f"directions {w}, {v} at generator {u}, "
-                            f"monomial {m}")
-                    if (not a) != (not d) or (not b) != (not c):
-                        raise ValueError(
-                            f"opposite edges of the square of directions "
-                            f"{w}, {v} at generator {u}, monomial {m} "
-                            f"disagree in being zero")
+                key = w, v, x % 2, y % 2
+                # no corner has an upper_ok bit of a middle edge set
+                if rule and x > 2 and y > 2 and not spans[key] & (
+                        two[w][below[v][down[v][t]]][2] |
+                        two[v][below[w][down[w][t]]][2]):
+                    continue
+                square(n, u, w, v, self.corners[key], records[w][t],
+                       faces[v][down[w][t]], records[v][t],
+                       faces[w][down[v][t]])
+        self.checked.add(n)
 
+    def _square(self, n, u, w, v, corners, *records):
+        """The square of directions w, v at generator u of degree n from the
+        records of its edges (u, w), (u - e_w, v), (u, v) and (u - e_v, w)."""
+        p = self.p
+        (den1, e1, *_), (den2, e2, *_), (den3, e3, *_), (den4, e4, *_) = \
+            records
+        # e1 e2 / (den1 den2) + e3 e4 / (den3 den4) must vanish
+        s12, s34 = den3 * den4, den1 * den2
+        for m, mw, mv in corners:
+            a, b, c, d = e1[m], e2[mw], e3[m], e4[mv]
+            total = a * b * s12 + c * d * s34
+            if total % p if p else total:
+                raise ValueError(
+                    f"{self.variant} maps at degrees {n} and {n - 1} do not "
+                    f"compose to zero: square of directions {w}, {v} at "
+                    f"generator {u}, monomial {m}")
+            if (not a) != (not d) or (not b) != (not c):
+                raise ValueError(
+                    f"opposite edges of the square of directions {w}, {v} "
+                    f"at generator {u}, monomial {m} disagree in being zero")

@@ -4,20 +4,50 @@ Everything here deliberately avoids the package's own algorithms: products
 are normalized by single-swap string rewriting instead of insertion
 reordering, and ranks come from dense Gaussian elimination on row lists.
 The published counts are read from tatehh.closed_forms; which of them
-applies to a table cell is decided here (closed_form_dim).
+applies to a table cell is decided here (closed_form_dim), and the general
+lower bound on every cell (lower_bound) is stated here.  first_square_failure
+re-checks every label square of a census in field arithmetic.
 
 The element-level helpers below the oracles (multiply, the twist group
 operations, the bimodule actions on elements and retwist) are the tests'
 own API over the package's structure constants and action matrices; no
 route of the package reads them.  Action matrices are read column by
 column (columns) and multiplied here (mat_apply, mat_mul), not by
-SparseMatrix arithmetic.
+SparseMatrix arithmetic.  of_int, div and regular_bimodule are the tests'
+shorthands for scalars and for the untwisted bimodule.
 """
 
+import json
+from fractions import Fraction
+
 from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, \
-    codim2_homology_dim, exterior_dim
+    codim2_homology_dim, divides, exterior_dim
 from tatehh.exact_field import scalar_pow
-from tatehh.qci_algebra import Bimodule
+from tatehh.qci_algebra import Bimodule, twisted_bimodule
+from tatehh.tate_engine import TableEntry
+from tatehh.twisted_resolution import Assembly
+
+
+def of_int(field, n):
+    """The integer n as a scalar of ``field``."""
+    return n % field.p if field.characteristic else Fraction(n)
+
+
+def div(field, x, y):
+    """x / y in ``field``; ZeroDivisionError for y = 0."""
+    return field.mul(x, field.inv(y))
+
+
+def regular_bimodule(algebra):
+    """A as a bimodule over itself."""
+    return twisted_bimodule(algebra, None, None, label="regular")
+
+
+def table_from_json(text):
+    """The entries of a ``dims --format json`` table."""
+    doc = json.loads(text)
+    return [TableEntry(e["degree"], e["dimension"], e["method"], e["source"])
+            for e in doc["entries"]]
 
 
 def rewrite_word(field, exponents, q, word):
@@ -223,6 +253,35 @@ def closed_form_dim(A, variant, n, k):
     return None
 
 
+def holm_dim(a, p, n):
+    """Hochschild homology dimension of k[X]/(X^a) in degree n >= 0."""
+    if a < 2:
+        raise ValueError("exponent must be at least 2")
+    if n < 0:
+        raise ValueError(f"degree must be non-negative here, got {n}")
+    if n == 0 or divides(p, a):
+        return a
+    return a - 1
+
+
+def lower_bound(a_vector, p, n):
+    """Lower bound for the stable Hochschild homology dimension in degree n.
+
+    d counts the exponents divisible by the characteristic; the bound is
+    sum(a_i) - c in degrees 0 and -1 when d = 0, one more when d > 0, and
+    sum(a_i) - c + d in all other degrees.
+    """
+    a_vector = tuple(a_vector)
+    if not a_vector or any(a < 2 for a in a_vector):
+        raise ValueError("exponents must all be at least 2")
+    c = len(a_vector)
+    base = sum(a_vector) - c
+    d = sum(1 for a in a_vector if divides(p, a))
+    if n in (0, -1):
+        return base + (1 if d else 0)
+    return base + d
+
+
 def resolution_generators(c, n):
     """The exponent vectors i in N^c with |i| = n, first coordinate
     descending, then the rest recursively: the basis order of P_n."""
@@ -306,6 +365,75 @@ def resolution_map(B, n, variant):
                         entries[key] = field.add(entries.get(key, field.zero),
                                                  field.mul(scalar, v))
     return {key: v for key, v in entries.items() if v != field.zero}
+
+
+def _edges(assembly, i, w):
+    """{upper monomial: (lower monomial, scalar)} over the nonzero entries
+    of the w-block at e_i, read from Assembly.block."""
+    field = assembly.A.field
+    den, entries = assembly.block(i, w)
+    homology = assembly.variant == "homology"
+    edges = {}
+    for row, col, v in entries:
+        value = field.mul(v, field.inv(den)) if field.characteristic else \
+            Fraction(v, den)
+        if value != field.zero:
+            edges[col if homology else row] = (row if homology else col,
+                                               value)
+    return edges
+
+
+def first_square_failure(A, j, variant, degrees):
+    """The message of the first label square that fails, or None, for the
+    squares a Census(A, j, variant, degrees) checks: upper vertex u in
+    degree n + 1 for each n in ``degrees``, in increasing n, generator order
+    and direction pairs w < v.  Each square is multiplied out in field
+    arithmetic from Assembly.block: every path from x^m e_u down to
+    e_(u - e_w - e_v) through e_(u - e_w) and through e_(u - e_v) must sum
+    to zero, and where m has a neighbour in both directions the w-edges at
+    m and below it in direction v (and the v-edges) agree in being zero."""
+    field, assembly = A.field, Assembly(A, j, variant)
+    sign = 1 if variant == "homology" else -1
+    monomials = A.monomials()
+
+    def neighbour(exps, u, w):
+        a = A.exponents[w]
+        e = exps[w] + sign * (1 if u[w] % 2 else a - 1)
+        return A.monomial_index(exps[:w] + (e,) + exps[w + 1:]) \
+            if 0 <= e < a else None
+
+    for n in sorted({n + 1 for n in degrees}):
+        for u in resolution_generators(A.c, n):
+            for w in range(A.c):
+                for v in range(w + 1, A.c):
+                    if not (u[w] and u[v]):
+                        continue
+                    uw = u[:w] + (u[w] - 1,) + u[w + 1:]
+                    uv = u[:v] + (u[v] - 1,) + u[v + 1:]
+                    e1, e2 = _edges(assembly, u, w), _edges(assembly, uw, v)
+                    e3, e4 = _edges(assembly, u, v), _edges(assembly, uv, w)
+                    for m, exps in enumerate(monomials):
+                        total = {}
+                        for first, second in ((e1, e2), (e3, e4)):
+                            if m in first:
+                                mid, x = first[m]
+                                if mid in second:
+                                    low, y = second[mid]
+                                    total[low] = field.add(total.get(
+                                        low, field.zero), field.mul(x, y))
+                        if any(t != field.zero for t in total.values()):
+                            return (f"{variant} maps at degrees {n} and "
+                                    f"{n - 1} do not compose to zero: square "
+                                    f"of directions {w}, {v} at generator "
+                                    f"{u}, monomial {m}")
+                        mw, mv = neighbour(exps, u, w), neighbour(exps, u, v)
+                        if mw is not None and mv is not None and (
+                                (m in e1) != (mv in e4) or
+                                (mw in e2) != (m in e3)):
+                            return (f"opposite edges of the square of "
+                                    f"directions {w}, {v} at generator {u}, "
+                                    f"monomial {m} disagree in being zero")
+    return None
 
 
 def _signed_power(field, x, k):

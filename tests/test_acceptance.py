@@ -21,7 +21,6 @@ from tatehh import (
     exterior_algebra,
     hh_cohomology_dims,
     hh_homology_dims,
-    regular_bimodule,
     tate_dims,
     tate_hh0,
     truncated_polynomial_algebra,
@@ -32,11 +31,10 @@ from tatehh.closed_forms import (
     ci_dim,
     codim2_homology_dim,
     exterior_dim,
-    lower_bound,
 )
 from tatehh.codim2_complex import DeltaComplex, expected_kernel_dim
 
-from oracles import closed_form_dim
+from oracles import closed_form_dim, lower_bound, of_int, regular_bimodule
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -74,7 +72,7 @@ def test_criterion_02_codim2_homology_constant_and_p_rows():
 
     # no prime field satisfies the infinite-order hypothesis, so the closed
     # form must not apply there
-    A5 = codim2_algebra(GF5, 2, 3, GF5.of_int(2))
+    A5 = codim2_algebra(GF5, 2, 3, of_int(GF5, 2))
     assert [closed_form_dim(A5, "homology", n, 0) for n in range(3)] == \
         [None, None, None]
 
@@ -82,7 +80,7 @@ def test_criterion_02_codim2_homology_constant_and_p_rows():
 def test_criterion_03_twisted_vanishing_and_kernel_counts():
     start = time.monotonic()
     for a, b in ((2, 2), (2, 3), (3, 3)):
-        A = codim2_algebra(QQ, a, b, QQ.of_int(2))
+        A = codim2_algebra(QQ, a, b, of_int(QQ, 2))
         delta = DeltaComplex(A, 9)
         assert [delta.homology_dim(n) for n in range(1, 9)] == [0] * 8, (a, b)
         got = [delta.kernel_dim(n) for n in range(1, 9)]
@@ -151,8 +149,8 @@ SMALL_FAMILY = (
     exterior_algebra(GF3, 2),
     truncated_polynomial_algebra(QQ, (2, 3)),
     truncated_polynomial_algebra(GF2, (2, 2)),
-    codim2_algebra(QQ, 2, 2, QQ.of_int(2)),
-    codim2_algebra(QQ, 3, 2, QQ.of_int(3)),
+    codim2_algebra(QQ, 2, 2, of_int(QQ, 2)),
+    codim2_algebra(QQ, 3, 2, of_int(QQ, 3)),
 )
 
 
@@ -173,8 +171,8 @@ def test_criterion_07b_homology_palindrome_independent_routes():
               truncated_polynomial_algebra(QQ, (2, 2)),
               truncated_polynomial_algebra(GF2, (2, 2)),
               truncated_polynomial_algebra(GF3, (3, 3)),
-              codim2_algebra(QQ, 2, 2, QQ.of_int(2)),
-              codim2_algebra(QQ, 3, 2, QQ.of_int(3)))
+              codim2_algebra(QQ, 2, 2, of_int(QQ, 2)),
+              codim2_algebra(QQ, 3, 2, of_int(QQ, 3)))
     for A in family:
         # positive side from the complexes, negative side from closed forms
         positive = [tate_hh0(A, A.identity_twist())]
@@ -187,7 +185,7 @@ def test_criterion_07b_homology_palindrome_independent_routes():
 
 def test_criterion_07c_cohomology_twist_duality():
     family = (exterior_algebra(QQ, 2), exterior_algebra(GF3, 2),
-              codim2_algebra(QQ, 2, 2, QQ.of_int(2)),
+              codim2_algebra(QQ, 2, 2, of_int(QQ, 2)),
               codim2_algebra(QQ, 3, 2, QQ.parse("1/2")))
     for A in family:
         plain = tate_dims(TateRequest(A, 0, 1, "cohomology"))
@@ -199,17 +197,17 @@ def test_criterion_07c_cohomology_twist_duality():
 
 
 def test_criterion_08_near_zero_exactness():
-    mixed_q = [[QQ.one, QQ.of_int(2), QQ.parse("1/3")],
-               [QQ.parse("1/2"), QQ.one, QQ.of_int(5)],
-               [QQ.of_int(3), QQ.parse("1/5"), QQ.one]]
+    mixed_q = [[QQ.one, of_int(QQ, 2), QQ.parse("1/3")],
+               [QQ.parse("1/2"), QQ.one, of_int(QQ, 5)],
+               [of_int(QQ, 3), QQ.parse("1/5"), QQ.one]]
     family = SMALL_FAMILY + (
         exterior_algebra(QQ, 3),
         exterior_algebra(GF3, 3),
         truncated_polynomial_algebra(GF2, (2, 2, 2, 2)),
         truncated_polynomial_algebra(QQ, (4, 4)),
         truncated_polynomial_algebra(GF3, (3, 3)),
-        codim2_algebra(QQ, 2, 4, QQ.of_int(2)),
-        codim2_algebra(GF5, 3, 3, GF5.of_int(2)),
+        codim2_algebra(QQ, 2, 4, of_int(QQ, 2)),
+        codim2_algebra(GF5, 3, 3, of_int(GF5, 2)),
         QciAlgebra(QQ, (2, 3, 2), mixed_q),
     )
     for A in family:

@@ -27,13 +27,13 @@ from tatehh.cli_reports import (
     parse_spec,
     run_verify,
     table_from_csv,
-    table_from_json,
 )
 from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import d0_matrix_via_s
 from tatehh.tate_engine import TableEntry, recognize_nakayama_power
 
-from oracles import is_commutative, is_exterior, twist_compose
+from oracles import is_commutative, is_exterior, table_from_json, \
+    twist_compose
 
 CODIM2_SPEC = """{
   "field": {"type": "rational"}, "c": 2, "exponents": [2, 2],

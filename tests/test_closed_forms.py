@@ -1,7 +1,12 @@
-"""Frozen values and symmetries of the closed-form dimension counts."""
+"""Frozen values and symmetries of the closed-form dimension counts, and the
+general lower bound checked against the tables."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tatehh import QQ, PrimeField, QciAlgebra, TateRequest, tate_dims
 from tatehh.closed_forms import (
     binom,
     ci_dim,
@@ -9,9 +14,9 @@ from tatehh.closed_forms import (
     codim2_homology_dim,
     divides,
     exterior_dim,
-    holm_dim,
-    lower_bound,
 )
+
+from oracles import holm_dim, lower_bound
 
 
 def test_divides_characteristic_zero_never():
@@ -93,6 +98,38 @@ def test_lower_bound_is_positive_everywhere():
     for n in range(-6, 7):
         for p in (0, 2, 3, 5):
             assert lower_bound((2, 2, 3), p, n) >= 1
+
+
+@st.composite
+def bounded_qcis(draw):
+    """QCIs with c <= 3 and dim <= 12 over QQ and GF(2, 3, 5, 7), q = +-1
+    and other roots of unity included."""
+    field = draw(st.sampled_from([QQ] + [PrimeField(p) for p in (2, 3, 5, 7)]))
+    exponents = draw(st.sampled_from(
+        [(a,) for a in range(2, 7)] +
+        [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3), (2, 2, 2), (2, 2, 3)]))
+    units = st.sampled_from([Fraction(v) for v in (1, -1, 2, -3)] +
+                            [Fraction(1, 2), Fraction(-5, 3)]) \
+        if field.characteristic == 0 else \
+        st.integers(1, field.characteristic - 1)
+    c = len(exponents)
+    q = [[field.one] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i + 1, c):
+            q[i][j] = draw(units)
+            q[j][i] = field.inv(q[i][j])
+    return QciAlgebra(field, exponents, q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(bounded_qcis())
+def test_property_regular_homology_meets_lower_bound(A):
+    """Every cell of the auto table of regular homology on [-6, 6] is at
+    least lower_bound, the published bound for each degree."""
+    table = tate_dims(TateRequest(A, -6, 6))
+    p = A.field.characteristic
+    assert [(e.degree, e.dimension >= lower_bound(A.exponents, p, e.degree))
+            for e in table.entries] == [(n, True) for n in range(-6, 7)]
 
 
 def test_codim2_homology_cases():

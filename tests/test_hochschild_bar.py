@@ -19,12 +19,11 @@ from tatehh.qci_algebra import (
     codim2_algebra,
     dual_bimodule,
     exterior_algebra,
-    regular_bimodule,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
 
-from oracles import center_dim, commutator_space_dim
+from oracles import center_dim, commutator_space_dim, regular_bimodule
 
 
 def homology(B, n_max, budget=5_000_000):

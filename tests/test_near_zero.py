@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tatehh import near_zero
 from tatehh.cli_reports import _duality_family
-from tatehh.closed_forms import ci_dim, exterior_dim, lower_bound
+from tatehh.closed_forms import ci_dim, exterior_dim
 from tatehh.exact_field import QQ, PrimeField, scalar_pow
 from tatehh.hochschild_bar import DEFAULT_BUDGET
 from tatehh.near_zero import (
@@ -36,7 +36,7 @@ from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     tate_dims
 
-from oracles import multiply, oracle_multiply
+from oracles import lower_bound, multiply, of_int, oracle_multiply
 
 
 def test_build_s_one_variable():
@@ -163,7 +163,7 @@ def random_spec(rng, field):
     for i in range(c):
         for j in range(i + 1, c):
             while True:
-                val = field.of_int(rng.randrange(-6, 7))
+                val = of_int(field, rng.randrange(-6, 7))
                 if val != field.zero:
                     break
             q[i][j] = val
@@ -217,7 +217,7 @@ def test_both_map_routes_agree_entrywise(A, kind):
     elif kind == "inverse":
         psi = A.nakayama(-1)
     else:
-        psi = tuple(A.field.of_int(rng.choice([1, 2, 3, -1])) for _ in range(A.c))
+        psi = tuple(of_int(A.field, rng.choice([1, 2, 3, -1])) for _ in range(A.c))
     assert_integer_forms_match_structural_maps(A, psi)
 
 

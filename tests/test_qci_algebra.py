@@ -13,15 +13,14 @@ from tatehh.qci_algebra import (
     codim2_algebra,
     dual_bimodule,
     exterior_algebra,
-    regular_bimodule,
     truncated_polynomial_algebra,
     twisted_bimodule,
 )
 
 from oracles import columns, equal_actions, frobenius_functional, \
     has_equal_exponents, is_commutative, is_exterior, left_apply, mat_mul, \
-    multiply, oracle_multiply, retwist, right_apply, twist_apply, \
-    twist_compose, twist_inverse, twist_pow
+    multiply, of_int, oracle_multiply, regular_bimodule, retwist, \
+    right_apply, twist_apply, twist_compose, twist_inverse, twist_pow
 
 
 def sample_algebras():
@@ -107,7 +106,7 @@ def test_random_q_matrices_match_oracle():
         q = [[F.one] * c for _ in range(c)]
         for i in range(c):
             for j in range(i + 1, c):
-                val = F.of_int(rng.randrange(1, 11))
+                val = of_int(F, rng.randrange(1, 11))
                 q[i][j] = val
                 q[j][i] = F.inv(val)
         A = QciAlgebra(F, exponents, q)
@@ -279,8 +278,8 @@ def test_twist_shift_isomorphism(A):
     the product of g_w^{-e_w}.
     """
     field = A.field
-    f = tuple(field.of_int(k + 2) for k in range(A.c))
-    g = tuple(field.of_int(3 * k + 5) for k in range(A.c))
+    f = tuple(of_int(field, k + 2) for k in range(A.c))
+    g = tuple(of_int(field, 3 * k + 5) for k in range(A.c))
     src = twisted_bimodule(A, f, g)
     tgt = twisted_bimodule(A, twist_compose(A, f, twist_inverse(A, g)), None)
     phi = [{j: twist_apply(A, twist_inverse(A, g), A.monomial_exps(j))}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tatehh.exact_field import QQ, PrimeField
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 
-from oracles import dense_rank
+from oracles import dense_rank, of_int
 
 
 def dense_of(M):
@@ -22,7 +22,7 @@ def random_matrix(field, rng, nrows, ncols, density=0.3, span=5):
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
-                v = field.of_int(rng.randrange(-span, span + 1))
+                v = of_int(field, rng.randrange(-span, span + 1))
                 if v != field.zero:
                     entries[(i, j)] = v
     return SparseMatrix.from_dict(field, nrows, ncols, entries)
@@ -69,8 +69,8 @@ def test_rank_with_vanishing_residue_beside_unit():
 
 def test_rank_characteristic_dependence():
     F2, F3 = PrimeField(2), PrimeField(3)
-    entries2 = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, F2.of_int(-1))]
-    entries3 = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, F3.of_int(-1))]
+    entries2 = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, of_int(F2, -1))]
+    entries3 = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, of_int(F3, -1))]
     assert SparseMatrix(F2, 2, 2, entries2).rank() == 1
     assert SparseMatrix(F3, 2, 2, entries3).rank() == 2
 

@@ -34,7 +34,7 @@ from tatehh.tate_engine import (
 )
 
 from oracles import center_dim, closed_form_dim, cols_to_rows, columns, \
-    dense_rank, intertwiner_space_dim, mat_apply, mat_mul
+    dense_rank, intertwiner_space_dim, mat_apply, mat_mul, of_int
 
 TERMINALS = ("resolution", "oracle")
 
@@ -268,9 +268,9 @@ def seeded_qcis():
     algebras = []
     for field in (QQ, PrimeField(3), PrimeField(5), PrimeField(7)):
         p = field.characteristic
-        units = [field.of_int(v) for v in range(2, p - 1)] if p else \
+        units = [of_int(field, v) for v in range(2, p - 1)] if p else \
             [Fraction(2), Fraction(1, 3), Fraction(-3, 2)]
-        units = units or [field.of_int(-1)]
+        units = units or [of_int(field, -1)]
         for exps in rng.sample(shapes, 2):
             c = len(exps)
             q = [[field.one] * c for _ in range(c)]

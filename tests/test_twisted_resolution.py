@@ -17,11 +17,11 @@ from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
-from tatehh.twisted_resolution import Assembly, Census, chain_space_dim, \
-    generators
+from tatehh.twisted_resolution import Assembly, Census, block_key, \
+    chain_space_dim, generators
 
-from oracles import _column_power, columns, edge_lemma_scalar, mat_mul, \
-    resolution_map
+from oracles import _column_power, columns, edge_lemma_scalar, \
+    first_square_failure, mat_mul, resolution_map
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
 # every shape with c <= 3 and dim <= 8
@@ -33,9 +33,9 @@ QQ_UNITS = [Fraction(v) for v in (1, -1, 2, -2, 3)] + \
 
 
 @st.composite
-def qcis(draw):
+def qcis(draw, shapes=SHAPES):
     field = draw(st.sampled_from(FIELDS))
-    exponents = draw(st.sampled_from(SHAPES))
+    exponents = draw(st.sampled_from(shapes))
     c = len(exponents)
     units = st.sampled_from(QQ_UNITS) if field.characteristic == 0 else \
         st.integers(1, field.characteristic - 1)
@@ -336,6 +336,94 @@ def test_census_evaluates_each_block_key_once(monkeypatch):
                 for w in (0, 1) if i[w]}
     assert len(keys) == len(distinct) and set(keys) == distinct
     assert sorted(census.levels) == [47, 48, 49]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(qcis([s for s in SHAPES if len(s) > 1]), st.integers(-2, 2),
+       st.sampled_from(VARIANTS), st.sampled_from([1, 3, 4, 5]),
+       st.integers(2, 10), st.sampled_from(["drop", "scale", "none"]),
+       st.data())
+def test_property_square_rule_matches_brute_force(A, j, variant, lo, span,
+                                                  kind, data):
+    """With one drawn block key scaled by a unit other than 1, one entry of
+    it dropped, or nothing changed, a census on [lo, lo + span] raises
+    exactly when a brute-force check of every label square it covers
+    (oracles.first_square_failure) fails, and with the same message: the
+    squares the parallelogram rule implies never fail on their own."""
+    hi = lo + span
+    i = data.draw(st.sampled_from(generators(A.c, data.draw(
+        st.integers(lo, hi + 1)))))
+    key = block_key(i, data.draw(st.sampled_from(
+        [w for w in range(A.c) if i[w]])))
+    p = A.field.characteristic
+    units = [-1, 2, Fraction(1, 3)] if p == 0 else list(range(2, p))
+    unit = data.draw(st.sampled_from(units)) if units else None
+    drop = data.draw(st.integers(0, 7))
+    original = twisted_resolution._block
+
+    def mutated(A, templates, i, w, variant):
+        den, entries = original(A, templates, i, w, variant)
+        if block_key(i, w) != key or not entries:
+            return den, entries
+        if kind == "scale" and unit is not None:
+            return den, [(row, col, A.field.mul(unit, v))
+                         for row, col, v in entries]
+        if kind == "drop":
+            k = drop % len(entries)
+            return den, entries[:k] + entries[k + 1:]
+        return den, entries
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twisted_resolution, "_block", mutated)
+        expected = first_square_failure(A, j, variant, range(lo, hi + 1))
+        try:
+            Census(A, j, variant, range(lo, hi + 1))
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+    assert message == expected
+
+
+def label_squares(c, degrees):
+    """(n, u, w, v) for every label square a census of ``degrees`` checks:
+    u in degree n = (a counted degree) + 1, w < v, u_w and u_v > 0."""
+    return {(n, u, w, v) for n in {d + 1 for d in degrees}
+            for u in generators(c, n) for w in range(c)
+            for v in range(w + 1, c) if u[w] and u[v]}
+
+
+def test_parallelogram_rule_evaluates_few_squares(monkeypatch):
+    """nu^-1 homology of a generic two-generator algebra on [1, 48] covers
+    1176 label squares and multiplies out at most 186 of them, the others
+    following from squares two degrees below; every one holds by the
+    brute-force check.  A window [lo, hi] applies the rule from degree
+    lo + 5, once the squares two and four degrees below were checked.  On
+    the exterior algebra c = 3 zero middle edges block the rule, so every
+    square is multiplied out, once."""
+    direct = []
+    square = Census._square
+    monkeypatch.setattr(Census, "_square", lambda self, n, u, w, v, *rest:
+                        direct.append((n, u, w, v)) or
+                        square(self, n, u, w, v, *rest))
+    A = codim2_algebra(QQ, 2, 3, Fraction(2))
+    Census(A, -1, "homology", range(1, 49))
+    squares = label_squares(2, range(1, 49))
+    assert len(squares) == 1176
+    assert set(direct) <= squares and len(direct) <= 186
+    assert first_square_failure(A, -1, "homology", range(1, 49)) is None
+    # a window that starts high checks every square until degree lo + 5
+    for degrees, ruled in (([41], 0), (range(10, 21), 7)):
+        direct.clear()
+        Census(A, -1, "homology", degrees)
+        squares = label_squares(2, degrees)
+        assert len(squares) - len(direct) == sum(
+            n - 5 for n in range(15, 15 + ruled))
+        assert {s for s in direct if s[0] < 15} == \
+            {s for s in squares if s[0] < 15}
+    for variant in VARIANTS:
+        direct.clear()
+        Census(exterior_algebra(QQ, 3), 0, variant, range(1, 21))
+        assert sorted(direct) == sorted(label_squares(3, range(1, 21)))
 
 
 # the generic c = 3 algebra of the roadmap: exponents 2, 2, 3 over QQ
