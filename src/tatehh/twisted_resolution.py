@@ -142,10 +142,11 @@ def sandwiches(A, j):
         step = {idx: rest for idx, *rest in characters}
         for k, l in {(1, 0), (0, 1)} | {(a - 1 - l, l) for l in range(a)}:
             nu = A.nakayama(j * k)[w]  # nu_w^(jk)
+            top, bottom = nu.numerator, nu.denominator
             entries = out[w, k, l] = []
             for col, exps in enumerate(A.monomials()):
                 if exps[w] + k + l < a:  # R_w l times, then L_w k times
-                    row, num, den = col, nu.numerator, nu.denominator
+                    row, num, den = col, top, bottom
                     for t in range(k + l):
                         row, left, right, d = step[row]
                         num, den = num * (right if t < l else left), den * d
@@ -185,7 +186,7 @@ def _templates(A, j, variant):
                                  [(s, a - 1 - s) for s in range(a)])]
             out[w, parity] = (
                 [(row, col) for row, col, _ in matrices[keys[0]]],
-                [[v for *_, v in matrices[key]] for key in keys])
+                [[v for _, _, v in matrices[key]] for key in keys])
     return den, out
 
 
