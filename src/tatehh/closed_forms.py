@@ -2,8 +2,9 @@
 
 Each function evaluates one published dimension formula exactly, by integer
 arithmetic: commutative complete intersections with equal exponents,
-exterior algebras, and the two-generator case with a generic commutation
-scalar.  The characteristic enters only through divisibility of the
+exterior algebras, and two-generator cohomology with a generic commutation
+scalar (two-generator homology, which only the tests read, is counted in
+tests/oracles.py).  The characteristic enters only through divisibility of the
 exponents, so a characteristic of 0 (the rationals) simply divides nothing.
 
 No table is served from these counts: every table cell comes from a
@@ -12,7 +13,7 @@ tables with the published values here.
 
 Degree conventions: the commutative and exterior counts take n >= 0 and
 serve negative degrees through the symmetry dim H_n = dim H_{-n-1} applied
-by the caller; the two-generator counts accept any integer degree directly.
+by the caller; the two-generator count accepts any integer degree directly.
 """
 
 from math import comb
@@ -61,16 +62,6 @@ def exterior_dim(c, p, n):
     if n == 0:
         return 2 ** c - 2 ** (c - 1)
     return 2 ** (c - 1) * binom(c + n - 1, c - 1)
-
-
-def codim2_homology_dim(a, b, p, n):
-    """Stable Hochschild homology dimension for two generators, generic q."""
-    if a < 2 or b < 2:
-        raise ValueError("exponents must be at least 2")
-    count = int(divides(p, a)) + int(divides(p, b))
-    if n in (0, -1):
-        return a + b - 2 + (1 if count else 0)
-    return a + b - 2 + count
 
 
 def codim2_cohomology_dim(n):

@@ -13,8 +13,8 @@ bimodule resolution P spliced at degree 0 to its A^e-dual is one (Buchweitz
 joined by the norm map C_0 -> C_{-1}, near_zero.d0_matrix_via_s(A, nu^j).  Tate
 homology of nu^k in degree n is H_n(C(k)); Tate cohomology of nu^k in degree
 n is H_{-n-1}(C(k-1)); this holds for every integer n.  A method policy
-routes every degree, within the element budget, to one terminal, named in
-the table's method column:
+routes every degree, within the element budget, to one route, named in the
+table's method column:
 
   auto      resolution: the twisted-tensor resolution (twisted_resolution)
             with no bimodule and no matrix: chain degrees >= 1 and <= -2 by
@@ -23,6 +23,11 @@ the table's method column:
   bar_only  oracle: one spliced window (TateWindow) of the bar resolution
             (hochschild_bar), an independent check (cross_validate).
 
+One table, _ROUTES, holds what a route name decides: the size of degree n
+of a half (B_j (x) P or Hom(P, B_{j+1})), the maps of a half, and how the
+route serves a table's chain degrees (the census, or one TateWindow).
+tate_dims reads the row of its policy's route, cross_validate every row,
+and TateWindow the row it is named; no other code branches on a route.
 TateWindow over the whole requested range, on the resolution that the
 method column names, stays the reference that cross_validate's dumps, the
 verify duality suite and the tests read.  The published closed forms
@@ -44,7 +49,7 @@ from .qci_algebra import twisted_bimodule
 from .sparse_linalg import ChainComplexWindow
 from .twisted_resolution import Assembly, Census, chain_space_dim
 
-# the terminal of each method policy
+# the route (a name in _ROUTES) of each method policy
 _POLICIES = {"auto": "resolution", "bar_only": "oracle"}
 
 VARIANTS = ("homology", "cohomology")
@@ -185,135 +190,129 @@ class TateWindow(ChainComplexWindow):
     """The spliced complex C(j) on the degrees lo - 1 .. hi + 1: the bar
     route's every degree, and the reference for the resolution route.
 
-    ``terminal``, a route name of the table's method column, picks the
-    resolution P of B_j (x) P and Hom(P, B_{j+1}): "resolution" reads
-    their differentials from A's characters (Assembly), "oracle" those of
-    the bar complexes from B_j and B_{j+1} built by nakayama_module; any
-    other name raises ValueError.  The norm map is
+    ``route``, a route name of the table's method column, picks its row of
+    _ROUTES: the resolution P of B_j (x) P and Hom(P, B_{j+1}) and the maps
+    of each half, read from A's characters (Assembly) on "resolution", from
+    the bar complexes of B_j and B_{j+1} built by nakayama_module on
+    "oracle"; any other name raises ValueError.  A half is built only when
+    a map of the window lies in it.  The norm map is
     near_zero.d0_matrix_via_s, which splice_dims does not read.
     ``maps[n]`` is the differential C_n -> C_{n-1} itself, ranked whole.
     Composition-zero is checked at construction, across the splice too.
     """
 
-    def __init__(self, A, j, lo, hi, budget, terminal):
+    def __init__(self, A, j, lo, hi, budget, route):
+        if route not in _ROUTES:
+            raise ValueError(f"unknown route {route!r}")
+        size, self._maps_of, _ = _ROUTES[route]
         for n in range(lo, hi + 1):
-            needed = self.need(terminal, A, n)
+            needed = _need(size, A, n)
             if needed > budget:
                 raise BudgetExceeded(n, needed, budget)
-        self.A, self.j, self.terminal, self._halves = A, j, terminal, {}
+        self.A, self.j, self._halves = A, j, {}
         degrees = range(hi + 1, lo - 2, -1)
-        spaces = {n: _space_dim(terminal, A, n if n >= 0 else -n - 1)
-                  for n in degrees}
+        spaces = {n: size(A, n if n >= 0 else -n - 1) for n in degrees}
         super().__init__(degrees, spaces,
                          {n: self._map(n) for n in degrees[:-1]})
-
-    @staticmethod
-    def need(terminal, A, n):
-        """The largest space degree n reads: C_{n+1} (n >= 0) or C_{n-1}."""
-        return _space_dim(terminal, A, (n if n >= 0 else -n - 1) + 1)
 
     def _map(self, n):
         """The map C_n -> C_{n-1}."""
         if n == 0:  # the norm map
             return d0_matrix_via_s(self.A, self.A.nakayama(self.j))
-        if n >= 1:
-            return self._half(self.j, "homology")(n)
-        return self._half(self.j + 1, "cohomology")(-n - 1)
-
-    def _half(self, j, variant):
+        j, variant, degree = (self.j, "homology", n) if n >= 1 else \
+            (self.j + 1, "cohomology", -n - 1)
         if variant not in self._halves:
-            self._halves[variant] = Assembly(self.A, j, variant) \
-                if self.terminal == "resolution" else \
-                BarWindow.differentials(nakayama_module(self.A, j), variant)
-        return self._halves[variant]
+            self._halves[variant] = self._maps_of(self.A, j, variant)
+        return self._halves[variant](degree)
 
 
-def _space_dim(terminal, A, n):
-    """The size of degree n of either half of the terminal's resolution."""
-    if terminal == "resolution":
-        return chain_space_dim(A.c, A.dim, n)
-    if terminal == "oracle":
-        return BarWindow.space_dim(A, A.dim, n)
-    raise ValueError(f"unknown route {terminal!r}")
+def _need(size, A, n):
+    """The largest space chain degree n reads, C_{n+1} (n >= 0) or C_{n-1},
+    from ``size`` of a _ROUTES row."""
+    return size(A, (n if n >= 0 else -n - 1) + 1)
 
 
-class _Session:
-    """One tate_dims evaluation: serves every degree within the budget from
-    one terminal.
+def _chain_degree(req, n):
+    """The degree of the spliced complex holding degree n."""
+    return n if req.variant == "homology" else -n - 1
 
-    ``terminal`` overrides the request's policy; cross_validate runs one
-    session per terminal.
-    """
 
-    def __init__(self, req, terminal=None):
-        self.req = req
-        self.terminal = _POLICIES[req.method] if terminal is None \
-            else terminal
+def _twist(req):
+    """The j of the spliced complex C(j) that holds the request."""
+    k = req.nakayama_power
+    return k if req.variant == "homology" else k - 1
 
-    def chain_degree(self, n):
-        """The degree of the spliced complex holding degree n."""
-        return n if self.req.variant == "homology" else -n - 1
 
-    def twist(self):
-        """The j of the spliced complex C(j) that holds the request."""
-        k = self.req.nakayama_power
-        return k if self.req.variant == "homology" else k - 1
+def _census(req, route, j, chain):
+    """H_t by label census outside the splice and counted inside it
+    (near_zero.splice_dims): no bimodule and no matrix."""
+    A = req.algebra
+    dims = splice_dims(A, j) if {0, -1} & set(chain) else {}
+    for twist, variant, degrees in (
+            (j, "homology", [t for t in chain if t >= 1]),
+            (j + 1, "cohomology", [-t - 1 for t in chain if t <= -2])):
+        if degrees:
+            census = Census(A, twist, variant, degrees)
+            dims.update((n if variant == "homology" else -n - 1,
+                         census.dimension(n)) for n in degrees)
+    return dims
 
-    def run(self):
-        req, terminal = self.req, self.terminal
-        entries, served = [], []
-        for n in req.degrees:
-            needed = TateWindow.need(terminal, req.algebra,
-                                     self.chain_degree(n))
-            if needed <= req.budget:
-                served.append(n)
-            else:
-                entries.append(TableEntry(n, None, "unavailable", str(
-                    BudgetExceeded(n, needed, req.budget))))
-        if served:
-            chain = [self.chain_degree(n) for n in served]
-            if terminal == "resolution":
-                dims = self._census(chain)
-            else:
-                window = TateWindow(req.algebra, self.twist(), min(chain),
-                                    max(chain), req.budget, terminal)
-                dims = {t: window.homology_dim(t) for t in chain}
-            entries.extend(TableEntry(n, dims[t], terminal)
-                           for n, t in zip(served, chain))
-        return DimensionTable(req, entries)
 
-    def _census(self, chain):
-        """H_t by label census outside the splice and counted inside it
-        (near_zero.splice_dims): no bimodule and no matrix."""
-        A, j = self.req.algebra, self.twist()
-        dims = splice_dims(A, j) if {0, -1} & set(chain) else {}
-        for twist, variant, degrees in (
-                (j, "homology", [t for t in chain if t >= 1]),
-                (j + 1, "cohomology", [-t - 1 for t in chain if t <= -2])):
-            if degrees:
-                census = Census(A, twist, variant, degrees)
-                dims.update((n if variant == "homology" else -n - 1,
-                             census.dimension(n)) for n in degrees)
-        return dims
+def _window(req, route, j, chain):
+    """H_t from one spliced window of the route over the chain degrees."""
+    window = TateWindow(req.algebra, j, min(chain), max(chain), req.budget,
+                        route)
+    return {t: window.homology_dim(t) for t in chain}
+
+
+# route name: (the size of degree n of a half, the maps of the half
+# B_j (x) P (homology) or Hom(P, B_j) (cohomology) of (A, j, variant), how
+# the route serves a table's chain degrees)
+_ROUTES = {
+    "resolution": (lambda A, n: chain_space_dim(A.c, A.dim, n), Assembly,
+                   _census),
+    "oracle": (lambda A, n: BarWindow.space_dim(A, A.dim, n),
+               lambda A, j, variant: BarWindow.differentials(
+                   nakayama_module(A, j), variant),
+               _window),
+}
+
+
+def _table(req, route):
+    """The table of one route: every degree within the budget from it, the
+    others unavailable."""
+    size, _, serve = _ROUTES[route]
+    entries, served = [], []
+    for n in req.degrees:
+        needed = _need(size, req.algebra, _chain_degree(req, n))
+        if needed <= req.budget:
+            served.append(n)
+        else:
+            entries.append(TableEntry(n, None, "unavailable", str(
+                BudgetExceeded(n, needed, req.budget))))
+    if served:
+        chain = [_chain_degree(req, n) for n in served]
+        dims = serve(req, route, _twist(req), chain)
+        entries.extend(TableEntry(n, dims[t], route)
+                       for n, t in zip(served, chain))
+    return DimensionTable(req, entries)
 
 
 def tate_dims(req):
     """The dimension table for the requested window."""
-    return _Session(req).run()
+    return _table(req, _POLICIES[req.method])
 
 
 def cross_validate(req, dump_dir=None):
-    """Evaluate the request once per terminal and diff the answers.
+    """Evaluate the request once per route and diff the answers.
 
     Returns {"degrees": [...], "all_agree": bool}; each degree reports the
-    value of every terminal that serves it, keyed by the terminal's name.
+    value of every route that serves it, keyed by the route's name.
     On disagreement the maps into and out of that degree's chain space are
-    dumped from a reference window of each terminal that serves it,
+    dumped from a reference window of each route that serves it,
     under dump_dir (when given), and the paths are listed.
     """
-    sessions = {name: _Session(req, terminal=name)
-                for name in _POLICIES.values()}
-    tables = {name: session.run() for name, session in sessions.items()}
+    tables = {name: _table(req, name) for name in _ROUTES}
     report = []
     for n in req.degrees:
         values = {name: table.dimension(n) for name, table in tables.items()
@@ -322,23 +321,23 @@ def cross_validate(req, dump_dir=None):
                "agree": len(set(values.values())) <= 1}
         if not row["agree"] and dump_dir is not None:
             row["dumps"] = _dump_disagreement(
-                sessions["resolution"], n,
-                [name for name in sessions if name in values], dump_dir)
+                req, n, [name for name in tables if name in values],
+                dump_dir)
         report.append(row)
     return {"degrees": report, "all_agree": all(r["agree"] for r in report)}
 
 
-def _dump_disagreement(session, degree, names, dump_dir):
+def _dump_disagreement(req, degree, names, dump_dir):
     """Write the maps into and out of the chain space of ``degree`` from a
-    reference window of each named window terminal, one file per map,
-    named by its degree in the spliced complex."""
+    reference window of each named route, one file per map, named by its
+    degree in the spliced complex."""
     import os
 
     os.makedirs(dump_dir, exist_ok=True)
-    req, t = session.req, session.chain_degree(degree)
+    t = _chain_degree(req, degree)
     paths = []
     for name in names:
-        win = TateWindow(req.algebra, session.twist(), t, t, req.budget, name)
+        win = TateWindow(req.algebra, _twist(req), t, t, req.budget, name)
         for deg in (t, t + 1):
             path = os.path.join(dump_dir,
                                 f"degree{degree}_{name}_map{deg}.txt")

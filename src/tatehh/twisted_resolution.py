@@ -41,12 +41,14 @@ holds for every j.
 
 The block of s T_w depends only on w, the parity of i_w, the depths D_v(i)
 for v != w and the parity of i_1 + ... + i_{w-1}; D_v is injective in i_v,
-so its key (block_key) is w with i, i_w taken mod 2, under which an
-Assembly keeps its blocks; Census carries the edge record of e_(i - 2 e_w)
-to e_i.  The terms of s T_w are sandwiches with one k + l, all shifting
-x^e to x^(e + (k + l) e_w), so a block is its scalars applied to one
-template per w and parity of i_w: integer entries over one denominator,
-not in lowest terms (residues over GF(p)).
+so the pair (w, i with i_w taken mod 2) keys it: Assembly memoises _block
+under that key, and Census carries the edge record of e_(i - 2 e_w) to
+e_i.  Both call _block(A, templates, i, w) on the generator itself, with
+templates (_templates) that each builds once.  The terms of s T_w are
+sandwiches with one k + l, all shifting x^e to x^(e + (k + l) e_w), so a
+block is its scalars applied to one template per w and parity of i_w:
+integer entries over one denominator, not in lowest terms (residues over
+GF(p)).
 
 Grading: both complexes are Z^c-graded.  x^m e_i (x^m in the summand of
 e_i) has multidegree m + D(i) in homology and m - D(i) in cohomology, and
@@ -164,12 +166,6 @@ def depth(a, k):
     return a * (k // 2) + k % 2
 
 
-def block_key(i, w):
-    """The memo key of the block of s T_w at e_i: w with i, i_w taken mod 2
-    (module docstring)."""
-    return w, i[:w] + (i[w] % 2,) + i[w + 1:]
-
-
 def _templates(A, j, variant):
     """(den, {(w, parity of i_w): (positions, rows)}) for B = nu^j from
     ``sandwiches``: the sandwich matrices of the terms of s T_w share their
@@ -190,11 +186,11 @@ def _templates(A, j, variant):
     return den, out
 
 
-def _block(A, templates, i, w, variant):
+def _block(A, templates, i, w):
     """The map on one B summand induced by s T_w for the generator e_i, as
     (den, entries): its nonzero entries are (row, col, v / den), v an
     integer not in lowest terms (a residue, and den = 1, over GF(p)), from
-    B's ``_templates``, which hold ``variant``."""
+    B's ``_templates``, which hold the variant."""
     power, a = A.q_power, A.exponents[w]
     # alpha = an / ad and beta = bn / bd
     an = ad = bn = bd = 1
@@ -228,7 +224,8 @@ def _block(A, templates, i, w, variant):
 class Assembly:
     """The maps of B (x) P (homology) or Hom(P, B) (cohomology), B = nu^j.
 
-    Every degree shares one table of summand blocks, under ``block_key``.
+    Every degree shares one memo of _block's summand blocks, keyed by w and
+    i with i_w taken mod 2 (module docstring).
     """
 
     def __init__(self, A, j, variant):
@@ -236,21 +233,10 @@ class Assembly:
         self.templates = _templates(A, j, variant)
         self.blocks = {}
 
-    def block(self, i, w):
-        key = block_key(i, w)
-        if key not in self.blocks:
-            self.blocks[key] = self.evaluate(key)
-        return self.blocks[key]
-
-    def evaluate(self, key):
-        """The block under ``key`` (w, i with i_w mod 2), not memoised."""
-        w, i = key
-        return _block(self.A, self.templates, i, w, self.variant)
-
     def __call__(self, n):
         """The map of degree n: the boundary P_n -> P_{n-1} in homology
         (n >= 1), the coboundary from degree n to n + 1 in cohomology."""
-        A, variant = self.A, self.variant
+        A, variant, blocks = self.A, self.variant, self.blocks
         c, dim = A.c, A.dim
         top = n if variant == "homology" else n + 1
         index = {i: t for t, i in enumerate(generators(c, top - 1))}
@@ -262,7 +248,10 @@ class Assembly:
                 s = index[i[:w] + (i[w] - 1,) + i[w + 1:]]
                 offsets = (s * dim, t * dim) if variant == "homology" \
                     else (t * dim, s * dim)
-                parts.append(offsets + self.block(i, w))
+                key = w, i[:w] + (i[w] % 2,) + i[w + 1:]
+                if key not in blocks:
+                    blocks[key] = _block(A, self.templates, i, w)
+                parts.append(offsets + blocks[key])
         rows, cols = (top - 1, top) if variant == "homology" \
             else (top, top - 1)
         # every den is 1 over GF(p)
@@ -282,8 +271,9 @@ class Census:
 
     Counting n, it holds degrees n - 1 to n + 1 as lists by generator
     position (``_level``).  The record of (i, w) with i_w >= 3 is carried
-    from i - 2 e_w; the others evaluate their block, so consecutive degrees
-    evaluate each block key once.
+    from i - 2 e_w; the others call _block on the census's own templates,
+    so consecutive degrees evaluate each block key (w, i with i_w mod 2)
+    once, with no memo.
 
     Construction checks A's characters (once per algebra), each entry of an
     evaluated block against its multidegree, and, for each counted n, every
@@ -295,7 +285,7 @@ class Census:
     """
 
     def __init__(self, A, j, variant, degrees):
-        self.assembly = Assembly(A, j, variant)
+        self.A, self.templates = A, _templates(A, j, variant)
         self.variant, self.c, self.p = variant, A.c, A.field.characteristic
         self.full = (1 << A.dim) - 1
         sign = 1 if variant == "homology" else -1
@@ -340,7 +330,7 @@ class Census:
         A's monomials, with every bit set except those of the upper and of
         the lower ends of the nonzero edges of this block."""
         targets = self.lower[w][i[w] % 2]
-        den, entries = self.assembly.evaluate(block_key(i, w))
+        den, entries = _block(self.A, self.templates, i, w)
         values, upper_ok, lower_ok = [0] * len(targets), self.full, self.full
         homology = self.variant == "homology"
         for row, col, v in entries:  # distinct (row, col), v != 0

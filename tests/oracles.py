@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's own algorithms: products
 are normalized by single-swap string rewriting instead of insertion
 reordering, and ranks come from dense Gaussian elimination on row lists.
-The published counts are read from tatehh.closed_forms; which of them
-applies to a table cell is decided here (closed_form_dim), and the general
-lower bound on every cell (lower_bound) is stated here.  first_square_failure
-re-checks every label square of a census in field arithmetic.
+The published counts are read from tatehh.closed_forms, except the
+two-generator homology count (codim2_homology_dim), which only the tests
+read and which is stated here; which of them applies to a table cell is
+decided here (closed_form_dim), and the general lower bound on every cell
+(lower_bound) is stated here.  first_square_failure re-checks every label
+square of a census in field arithmetic, from the blocks of
+twisted_resolution._block, whose memo key block_key states.
 
 The element-level helpers below the oracles (multiply, the twist group
 operations, the bimodule actions on elements and retwist) are the tests'
@@ -20,12 +23,12 @@ shorthands for scalars and for the untwisted bimodule.
 import json
 from fractions import Fraction
 
-from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, \
-    codim2_homology_dim, divides, exterior_dim
+from tatehh import twisted_resolution
+from tatehh.closed_forms import ci_dim, codim2_cohomology_dim, divides, \
+    exterior_dim
 from tatehh.exact_field import scalar_pow
 from tatehh.qci_algebra import Bimodule, twisted_bimodule
 from tatehh.tate_engine import TableEntry
-from tatehh.twisted_resolution import Assembly
 
 
 def of_int(field, n):
@@ -230,6 +233,16 @@ def _is_generic_codim2(A):
         not A.field.is_root_of_unity(A.q[0][1])
 
 
+def codim2_homology_dim(a, b, p, n):
+    """Stable Hochschild homology dimension for two generators, generic q."""
+    if a < 2 or b < 2:
+        raise ValueError("exponents must be at least 2")
+    count = int(divides(p, a)) + int(divides(p, b))
+    if n in (0, -1):
+        return a + b - 2 + (1 if count else 0)
+    return a + b - 2 + count
+
+
 def closed_form_dim(A, variant, n, k):
     """The published value of a table cell, or None where no theorem applies.
 
@@ -367,12 +380,18 @@ def resolution_map(B, n, variant):
     return {key: v for key, v in entries.items() if v != field.zero}
 
 
-def _edges(assembly, i, w):
+def block_key(i, w):
+    """The key of the block of s T_w at e_i in twisted_resolution: w with
+    i, i_w taken mod 2; blocks under one key are equal."""
+    return w, i[:w] + (i[w] % 2,) + i[w + 1:]
+
+
+def _edges(A, templates, variant, i, w):
     """{upper monomial: (lower monomial, scalar)} over the nonzero entries
-    of the w-block at e_i, read from Assembly.block."""
-    field = assembly.A.field
-    den, entries = assembly.block(i, w)
-    homology = assembly.variant == "homology"
+    of the w-block at e_i, read from twisted_resolution._block."""
+    field = A.field
+    den, entries = twisted_resolution._block(A, templates, i, w)
+    homology = variant == "homology"
     edges = {}
     for row, col, v in entries:
         value = field.mul(v, field.inv(den)) if field.characteristic else \
@@ -388,11 +407,20 @@ def first_square_failure(A, j, variant, degrees):
     squares a Census(A, j, variant, degrees) checks: upper vertex u in
     degree n + 1 for each n in ``degrees``, in increasing n, generator order
     and direction pairs w < v.  Each square is multiplied out in field
-    arithmetic from Assembly.block: every path from x^m e_u down to
+    arithmetic from twisted_resolution._block, evaluated once per
+    block_key: every path from x^m e_u down to
     e_(u - e_w - e_v) through e_(u - e_w) and through e_(u - e_v) must sum
     to zero, and where m has a neighbour in both directions the w-edges at
     m and below it in direction v (and the v-edges) agree in being zero."""
-    field, assembly = A.field, Assembly(A, j, variant)
+    field = A.field
+    templates, blocks = twisted_resolution._templates(A, j, variant), {}
+
+    def edges(i, w):
+        key = block_key(i, w)
+        if key not in blocks:
+            blocks[key] = _edges(A, templates, variant, i, w)
+        return blocks[key]
+
     sign = 1 if variant == "homology" else -1
     monomials = A.monomials()
 
@@ -410,8 +438,8 @@ def first_square_failure(A, j, variant, degrees):
                         continue
                     uw = u[:w] + (u[w] - 1,) + u[w + 1:]
                     uv = u[:v] + (u[v] - 1,) + u[v + 1:]
-                    e1, e2 = _edges(assembly, u, w), _edges(assembly, uw, v)
-                    e3, e4 = _edges(assembly, u, v), _edges(assembly, uv, w)
+                    e1, e2 = edges(u, w), edges(uw, v)
+                    e3, e4 = edges(u, v), edges(uv, w)
                     for m, exps in enumerate(monomials):
                         total = {}
                         for first, second in ((e1, e2), (e3, e4)):

@@ -27,14 +27,11 @@ from tatehh import (
     twisted_bimodule,
 )
 from tatehh.cli_reports import main
-from tatehh.closed_forms import (
-    ci_dim,
-    codim2_homology_dim,
-    exterior_dim,
-)
+from tatehh.closed_forms import ci_dim, exterior_dim
 from tatehh.codim2_complex import DeltaComplex, expected_kernel_dim
 
-from oracles import closed_form_dim, lower_bound, of_int, regular_bimodule
+from oracles import closed_form_dim, codim2_homology_dim, lower_bound, \
+    of_int, regular_bimodule
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -11,12 +11,11 @@ from tatehh.closed_forms import (
     binom,
     ci_dim,
     codim2_cohomology_dim,
-    codim2_homology_dim,
     divides,
     exterior_dim,
 )
 
-from oracles import holm_dim, lower_bound
+from oracles import codim2_homology_dim, holm_dim, lower_bound
 
 
 def test_divides_characteristic_zero_never():

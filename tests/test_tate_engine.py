@@ -17,6 +17,7 @@ from tatehh import (
     exterior_algebra,
     truncated_polynomial_algebra,
 )
+from tatehh import tate_engine, twisted_resolution
 from tatehh.cli_reports import EXIT_BUDGET, _duality_family, main
 from tatehh.hochschild_bar import DEFAULT_BUDGET, BarWindowRequest, \
     hh_homology_dims
@@ -88,6 +89,26 @@ def test_tate_window_takes_route_names():
         [tate_dims(TateRequest(A, 0, 0)).dimension(0)] * 2
     with pytest.raises(ValueError, match="unknown route 'bar'"):
         TateWindow(A, 0, 0, 0, DEFAULT_BUDGET, "bar")
+
+
+@pytest.mark.parametrize("route", TERMINALS)
+def test_tate_window_builds_only_the_halves_it_reads(monkeypatch, route):
+    """A window on [2, 3] reads only maps of B_j (x) P, one on [-4, -3]
+    only maps of Hom(P, B_(j+1)); on either route the other half is never
+    built (no Assembly, no nakayama_module)."""
+    built = []
+    init = twisted_resolution.Assembly.__init__
+    monkeypatch.setattr(twisted_resolution.Assembly, "__init__",
+                        lambda self, A, j, variant: built.append(
+                            (j, variant)) or init(self, A, j, variant))
+    monkeypatch.setattr(tate_engine, "nakayama_module",
+                        lambda A, k: built.append(k) or nakayama_module(A, k))
+    A, j = codim2_q2(), 1
+    for lo, hi, half in ((2, 3, (j, "homology")),
+                         (-4, -3, (j + 1, "cohomology"))):
+        built.clear()
+        TateWindow(A, j, lo, hi, DEFAULT_BUDGET, route)
+        assert built == [half if route == "resolution" else half[0]]
 
 
 class TestPublishedTables:

@@ -17,10 +17,10 @@ from tatehh.qci_algebra import Bimodule, QciAlgebra
 from tatehh.sparse_linalg import ChainComplexWindow, SparseMatrix
 from tatehh.tate_engine import TateRequest, TateWindow, cross_validate, \
     nakayama_module, tate_dims
-from tatehh.twisted_resolution import Assembly, Census, block_key, \
-    chain_space_dim, generators
+from tatehh.twisted_resolution import Assembly, Census, chain_space_dim, \
+    generators
 
-from oracles import _column_power, columns, edge_lemma_scalar, \
+from oracles import _column_power, block_key, columns, edge_lemma_scalar, \
     first_square_failure, mat_mul, resolution_map
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)]
@@ -191,7 +191,7 @@ def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
     x^(m + delta e_w) e_(i - e_w) (homology) or from x^m e_(i - e_w) to
     x^(m + delta e_w) e_i (cohomology), delta = 1 for odd i_w and a_w - 1
     for even i_w."""
-    assembly = Assembly(A, j, variant)
+    templates = twisted_resolution._templates(A, j, variant)
     sign = 1 if variant == "homology" else -1
     for n in range(1, 6):
         for i in generators(A.c, n):
@@ -212,23 +212,25 @@ def test_property_block_zero_pattern_matches_edge_lemma(A, j, variant):
                     if edge_lemma_scalar(A, j, w, odd, label) != A.field.zero:
                         expected.add((partner, m) if sign > 0
                                      else (m, partner))
-                _, entries = assembly.block(i, w)
+                _, entries = twisted_resolution._block(A, templates, i, w)
                 assert {(row, col) for row, col, _ in entries} == expected
 
 
 def patch_block(monkeypatch, change):
-    """Route every summand block through ``change(A, i, w, entries)``."""
+    """Route every summand block through ``change(A, i, w, entries)``;
+    i is the generator whose block is evaluated, so a change aimed at one
+    block compares block_key(i, w)."""
     original = twisted_resolution._block
 
-    def patched(A, sandwiches, i, w, variant):
-        den, entries = original(A, sandwiches, i, w, variant)
+    def patched(A, templates, i, w):
+        den, entries = original(A, templates, i, w)
         return den, change(A, i, w, entries)
 
     monkeypatch.setattr(twisted_resolution, "_block", patched)
 
 
-# the block of direction 1 under the key of e_(40, 2): first evaluated at
-# degree 42 and carried to e_(40, 4), e_(40, 6) and e_(40, 8)
+# the block of direction 1 under the key (block_key) of e_(40, 2): first
+# evaluated at degree 42 and carried to e_(40, 4), e_(40, 6) and e_(40, 8)
 DEEP_KEY = ((40, 0), 1)
 
 
@@ -254,7 +256,8 @@ def test_doubled_block_fails_census(monkeypatch, field, q, variant, target,
     doubled = []
 
     def double(A, i, w, entries):
-        if entries and ((i, w) == target if target else not doubled):
+        if entries and (block_key(i, w) == block_key(*target) if target
+                        else not doubled):
             doubled.append((i, w))
             return [(row, col, A.field.mul(2, v)) for row, col, v in entries]
         return entries
@@ -294,7 +297,8 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
     not hold.  The census refuses it.  The same holds at depth for an entry
     of the block under DEEP_KEY, next to homology degree 41 of nu^-1."""
     def drop_one(A, i, w, entries):
-        return entries[1:] if (i, w) == ((1, 0), 0) else entries
+        return entries[1:] if block_key(i, w) == block_key((1, 0), 0) \
+            else entries
 
     patch_block(monkeypatch, drop_one)
     A = codim2_algebra(QQ, 2, 3, Fraction(2))
@@ -310,7 +314,7 @@ def test_edge_zero_at_one_vertex_of_a_label_fails_census(monkeypatch):
         assert window.homology_dim(41) == unpatched
         patch_block(monkeypatch, lambda A, i, w, entries, entry=entry:
                     entries[:entry] + entries[entry + 1:]
-                    if (i, w) == DEEP_KEY else entries)
+                    if block_key(i, w) == block_key(*DEEP_KEY) else entries)
         window = TateWindow(A, -1, 41, 41, DEFAULT_BUDGET, "resolution")
         assert window.homology_dim(41) == unpatched + 1
         with pytest.raises(ValueError, match="disagree in being zero") \
@@ -324,14 +328,12 @@ def test_census_evaluates_each_block_key_once(monkeypatch):
     degrees 1 to 49 once (records at i_w >= 3 are carried from
     i - 2 e_w) and ends holding three degrees."""
     keys = []
-    evaluate = Assembly.evaluate
-    monkeypatch.setattr(Assembly, "evaluate",
-                        lambda self, key: keys.append(key) or
-                        evaluate(self, key))
+    patch_block(monkeypatch, lambda A, i, w, entries:
+                keys.append(block_key(i, w)) or entries)
     census = Census(codim2_algebra(QQ, 2, 3, Fraction(2)), -1, "homology",
                     range(1, 49))
     assert [census.dimension(n) for n in range(1, 49)] == [0] * 48
-    distinct = {(w, i[:w] + (i[w] % 2,) + i[w + 1:])
+    distinct = {block_key(i, w)
                 for n in range(1, 50) for i in generators(2, n)
                 for w in (0, 1) if i[w]}
     assert len(keys) == len(distinct) and set(keys) == distinct
@@ -361,8 +363,8 @@ def test_property_square_rule_matches_brute_force(A, j, variant, lo, span,
     drop = data.draw(st.integers(0, 7))
     original = twisted_resolution._block
 
-    def mutated(A, templates, i, w, variant):
-        den, entries = original(A, templates, i, w, variant)
+    def mutated(A, templates, i, w):
+        den, entries = original(A, templates, i, w)
         if block_key(i, w) != key or not entries:
             return den, entries
         if kind == "scale" and unit is not None:
